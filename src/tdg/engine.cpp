@@ -12,6 +12,11 @@ namespace maxev::tdg {
 namespace {
 constexpr std::uint8_t kRecords = 1;      // node has an instant series
 constexpr std::uint8_t kHasCallback = 2;  // node has an on_known callback
+constexpr std::uint8_t kObserved = kRecords | kHasCallback;
+// Straight-line node: every in-arc is same-frame, unguarded and pure
+// fixed-weight, so compute() runs a tight ⊕/⊗ loop instead of the general
+// segment interpreter.
+constexpr std::uint8_t kStraightLine = 4;
 }  // namespace
 
 Engine::Engine(const Graph& g, Options opts) : graph_(&g), opts_(opts) {
@@ -87,22 +92,32 @@ void Engine::compile() {
   }
 
   node_flags_.assign(n_nodes_, 0);
-  for (std::size_t n = 0; n < n_nodes_; ++n)
+  for (std::size_t n = 0; n < n_nodes_; ++n) {
     if (record_series_[n] != nullptr) node_flags_[n] |= kRecords;
+    if (prog_.static_pending[n] < 0) continue;  // externally fed: never computed
+    bool straight = true;
+    for (std::int32_t i = prog_.in_arc_offsets[n];
+         i < prog_.in_arc_offsets[n + 1] && straight; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      straight = prog_.in_lag[s] == 0 && prog_.in_guard[s] < 0 &&
+                 prog_.in_prog_off[s] < 0;
+    }
+    if (straight) node_flags_[n] |= kStraightLine;
+  }
 }
 
 void Engine::init_frame(Frame& f, std::uint64_t k) {
   // f.value is deliberately not cleared: a value is only ever read behind a
-  // known[] check (dependency counting guarantees sources are known), and
-  // mark_known stores it right before setting known — stale values from a
-  // recycled frame are unreachable.
-  std::fill(f.known.begin(), f.known.end(), std::uint8_t{0});
+  // known check (dependency counting guarantees sources are known), and
+  // mark_known stores it right before marking the node known — stale values
+  // from a recycled frame are unreachable.
   std::fill(f.attr_known.begin(), f.attr_known.end(), std::uint8_t{0});
   f.known_count = 0;
 
   // Bulk-initialize from the pre-counted static column (attr prerequisites,
-  // same-frame arcs, external markers); only nodes with history arcs need a
-  // per-frame look at older frames.
+  // same-frame arcs, external markers) — which also clears every kKnown
+  // mark of a recycled frame; only nodes with history arcs need a per-frame
+  // look at older frames.
   if (n_nodes_ > 0) {
     std::memcpy(f.pending.data(), prog_.static_pending.data(),
                 n_nodes_ * sizeof(std::int32_t));
@@ -115,9 +130,7 @@ void Engine::init_frame(Frame& f, std::uint64_t k) {
       const auto s = static_cast<std::size_t>(i);
       if (prog_.lagged_lag[s] > k) continue;  // pre-history: simulation origin
       const Frame* sf = frame_at(k - prog_.lagged_lag[s]);
-      if (sf == nullptr ||
-          !sf->known[static_cast<std::size_t>(prog_.lagged_src[s])])
-        ++p;
+      if (sf == nullptr || !sf->known(prog_.lagged_src[s])) ++p;
     }
     f.pending[static_cast<std::size_t>(n)] = p;
     if (p == 0) worklist_.push_back({n, k});
@@ -132,7 +145,6 @@ Engine::Frame& Engine::ensure_frame(std::uint64_t k) {
     if (frame_pool_.empty()) {
       Frame f;
       f.value.resize(n_nodes_);
-      f.known.resize(n_nodes_);
       f.pending.resize(n_nodes_);
       f.attr_known.resize(n_sources_);
       f.attrs.resize(n_sources_);
@@ -159,17 +171,126 @@ const Engine::Frame* Engine::frame_at(std::uint64_t k) const {
   return frame_ptrs_[idx];
 }
 
+// ---- Propagation hot path -------------------------------------------------
+// mark_known, resolve_dependents and compute are forced inline: drain()'s
+// chain loop then keeps the held (frame, node, iteration) in registers
+// instead of passing it through memory between calls.
+
+[[gnu::always_inline]] inline void Engine::mark_known(Frame& f, NodeId n,
+                                                      std::uint64_t k,
+                                                      mp::Scalar v) {
+  f.value[static_cast<std::size_t>(n)] = v;
+  f.pending[static_cast<std::size_t>(n)] = kKnown;
+  ++f.known_count;
+  const std::uint8_t flags =
+      node_flags_[static_cast<std::size_t>(n)] & kObserved;
+  if (flags != 0) notify(n, k, v, flags);  // rare: an observer on this node
+}
+
+void Engine::notify(NodeId n, std::uint64_t k, mp::Scalar v,
+                    std::uint8_t flags) {
+  if (flags & kRecords) flush_instants(n);
+  if ((flags & kHasCallback) && v.is_finite())
+    callbacks_[static_cast<std::size_t>(n)](k, v.to_time());
+}
+
+[[gnu::always_inline]] inline Engine::Ready Engine::resolve_dependents(
+    Frame& f, NodeId n, std::uint64_t k) {
+  // f serves every same-frame dependent without a lookup — except when n
+  // carries an on_known callback, whose retain-floor raise may have pruned
+  // iteration k re-entrantly during mark_known: re-fetch, and a null fk
+  // means the frame was fully known, so its dependents have no pending
+  // count left to decrement.
+  Frame* fk = node_flags_[static_cast<std::size_t>(n)] & kHasCallback
+                  ? frame_at(k)
+                  : &f;
+  // The latest ready dependent is held, not pushed; a newer one pushes it.
+  // The worklist thus sees every push but the last in the same order as a
+  // push-everything loop, and the last is what its LIFO pop returns next.
+  Ready held;
+  const std::int32_t begin = prog_.out_arc_offsets[static_cast<std::size_t>(n)];
+  const std::int32_t end =
+      prog_.out_arc_offsets[static_cast<std::size_t>(n) + 1];
+  for (std::int32_t i = begin; i < end; ++i) {
+    const auto s = static_cast<std::size_t>(i);
+    const std::uint32_t lag = prog_.out_lag[s];
+    const std::uint64_t kk = k + lag;
+    // If a lagged target frame does not exist yet, its init will see this
+    // instance as already known and not count it.
+    Frame* tf = lag == 0 ? fk : frame_at(kk);
+    if (tf == nullptr) continue;
+    const NodeId dst = prog_.out_dst[s];
+    std::int32_t& p = tf->pending[static_cast<std::size_t>(dst)];
+    if (p == kKnown || --p != 0) continue;
+    if (held.frame != nullptr) worklist_.push_back({held.node, held.k});
+    held = {tf, dst, kk};
+  }
+  return held;
+}
+
+[[gnu::always_inline]] inline Engine::Ready Engine::compute(Frame& f,
+                                                            NodeId n,
+                                                            std::uint64_t k) {
+  const std::int32_t begin = prog_.in_arc_offsets[static_cast<std::size_t>(n)];
+  const std::int32_t end =
+      prog_.in_arc_offsets[static_cast<std::size_t>(n) + 1];
+  mp::Scalar acc = mp::Scalar::eps();
+  if (node_flags_[static_cast<std::size_t>(n)] & kStraightLine) {
+    // Same-frame, unguarded, pure fixed-weight in-arcs only: evaluate_arcs'
+    // loop without the branches this class cannot take (same ε skip, same
+    // overflow-checked ⊗, every arc counted as a term).
+    arc_terms_ += static_cast<std::uint64_t>(end - begin);
+    const mp::Scalar* value = f.value.data();
+    for (std::int32_t i = begin; i < end; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      const mp::Scalar cursor =
+          value[static_cast<std::size_t>(prog_.in_src[s])];
+      if (cursor.is_eps()) continue;  // guarded-off upstream
+      acc = acc + cursor * prog_.in_fixed[s];
+    }
+  } else {
+    acc = evaluate_arcs(f, k, begin, end);
+  }
+
+  ++computed_;
+  mark_known(f, n, k, acc);
+  return resolve_dependents(f, n, k);
+}
+
+void Engine::drain() {
+  if (draining_) return;  // single drain loop; nested calls just enqueue
+  draining_ = true;
+  while (!worklist_.empty()) {
+    auto [n, k] = worklist_.back();
+    worklist_.pop_back();
+    Ready r{frame_at(k), n, k};
+    if (r.frame->known(n)) continue;
+    // The tail call: compute each held dependent directly (it is never
+    // known — its pending count just reached zero) instead of round-
+    // tripping it through the worklist.
+    do {
+      r = compute(*r.frame, r.node, r.k);
+    } while (r.frame != nullptr);
+  }
+  draining_ = false;
+  prune();
+}
+
 void Engine::set_external(NodeId n, std::uint64_t k, TimePoint value) {
-  const Node& node = graph_->node(n);
-  if (node.kind != NodeKind::kInput && node.kind != NodeKind::kExternal)
-    throw Error("tdg::Engine: set_external on computed node '" + node.name +
-                "'");
+  if (n < 0 || static_cast<std::size_t>(n) >= n_nodes_)
+    throw Error("tdg::Engine: set_external with bad node id " +
+                std::to_string(n));
+  // Program::compile marks exactly the kInput/kExternal nodes with -1.
+  if (prog_.static_pending[static_cast<std::size_t>(n)] != -1)
+    throw Error("tdg::Engine: set_external on computed node '" +
+                graph_->node(n).name + "'");
   Frame& f = ensure_frame(k);
-  if (f.known[static_cast<std::size_t>(n)])
-    throw Error("tdg::Engine: instance (" + node.name + ", " +
+  if (f.known(n))
+    throw Error("tdg::Engine: instance (" + graph_->node(n).name + ", " +
                 std::to_string(k) + ") already known");
   mark_known(f, n, k, mp::Scalar::from_time(value));
-  resolve_dependents(f, n, k);
+  const Ready r = resolve_dependents(f, n, k);
+  if (r.frame != nullptr) worklist_.push_back({r.node, r.k});
   drain();
 }
 
@@ -186,23 +307,12 @@ void Engine::set_attrs(model::SourceId s, std::uint64_t k,
   drain();
 }
 
-void Engine::mark_known(Frame& f, NodeId n, std::uint64_t k, mp::Scalar v) {
-  f.value[static_cast<std::size_t>(n)] = v;
-  f.known[static_cast<std::size_t>(n)] = 1;
-  ++f.known_count;
-  const std::uint8_t flags = node_flags_[static_cast<std::size_t>(n)];
-  if (flags == 0) return;  // common case: no observer on this node
-  if (flags & kRecords) flush_instants(n);
-  if ((flags & kHasCallback) && v.is_finite())
-    callbacks_[static_cast<std::size_t>(n)](k, v.to_time());
-}
-
 void Engine::flush_instants(NodeId n) {
   MAXEV_FAULT_POINT("engine.flush");
   trace::InstantSeries& series = *record_series_[static_cast<std::size_t>(n)];
   while (true) {
     const Frame* f = frame_at(next_flush_[static_cast<std::size_t>(n)]);
-    if (f == nullptr || !f->known[static_cast<std::size_t>(n)]) break;
+    if (f == nullptr || !f->known(n)) break;
     const mp::Scalar v = f->value[static_cast<std::size_t>(n)];
     if (v.is_finite()) series.push(v.to_time());
     ++next_flush_[static_cast<std::size_t>(n)];
@@ -210,62 +320,24 @@ void Engine::flush_instants(NodeId n) {
 }
 
 void Engine::decrement(Frame& f, NodeId n, std::uint64_t k) {
-  if (f.known[static_cast<std::size_t>(n)]) return;
-  if (--f.pending[static_cast<std::size_t>(n)] == 0)
-    worklist_.push_back({n, k});
+  std::int32_t& p = f.pending[static_cast<std::size_t>(n)];
+  if (p == kKnown) return;
+  if (--p == 0) worklist_.push_back({n, k});
 }
 
-void Engine::resolve_dependents(Frame& f, NodeId n, std::uint64_t k) {
-  // f serves every same-frame dependent without a lookup — except when n
-  // carries an on_known callback, whose retain-floor raise may have pruned
-  // iteration k re-entrantly during mark_known: re-fetch, and a null fk
-  // means the frame was fully known, so its dependents have no pending
-  // count left to decrement.
-  Frame* fk = node_flags_[static_cast<std::size_t>(n)] & kHasCallback
-                  ? frame_at(k)
-                  : &f;
-  for (std::int32_t i = prog_.out_arc_offsets[static_cast<std::size_t>(n)];
-       i < prog_.out_arc_offsets[static_cast<std::size_t>(n) + 1]; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    const std::uint32_t lag = prog_.out_lag[s];
-    if (lag == 0) {
-      if (fk != nullptr) decrement(*fk, prog_.out_dst[s], k);
-      continue;
-    }
-    const std::uint64_t kk = k + lag;
-    // If the target frame does not exist yet, its init will see this
-    // instance as already known and not count it.
-    if (Frame* tf = frame_at(kk)) decrement(*tf, prog_.out_dst[s], kk);
-  }
-}
-
-void Engine::drain() {
-  if (draining_) return;  // single drain loop; nested calls just enqueue
-  draining_ = true;
-  while (!worklist_.empty()) {
-    auto [n, k] = worklist_.back();
-    worklist_.pop_back();
-    compute(n, k);
-  }
-  draining_ = false;
-  prune();
-}
-
-void Engine::compute(NodeId n, std::uint64_t k) {
-  Frame& f = *frame_at(k);
-  if (f.known[static_cast<std::size_t>(n)]) return;
-
+mp::Scalar Engine::evaluate_arcs(Frame& f, std::uint64_t k, std::int32_t begin,
+                                 std::int32_t end) {
   // Every prerequisite is resolved: ⊕ over arcs of src ⊗ (composed segment
   // weights), emitting busy intervals as segment positions are determined
   // (the paper's observation time). Loads are evaluated exactly once.
   //
   // MIRRORED BY BatchEngine::compute_one (src/tdg/batch_engine.cpp): the
   // batched==solo bit-identity guarantee requires any arithmetic change
-  // here to be applied there too (and to its full-front fast path for the
-  // pure-fixed case).
+  // here (or in compute()'s straight-line loop, the same arithmetic minus
+  // the branches its node class cannot take) to be applied there too (and
+  // to its full-front fast path for the pure-fixed case).
   mp::Scalar acc = mp::Scalar::eps();
-  for (std::int32_t i = prog_.in_arc_offsets[static_cast<std::size_t>(n)];
-       i < prog_.in_arc_offsets[static_cast<std::size_t>(n) + 1]; ++i) {
+  for (std::int32_t i = begin; i < end; ++i) {
     const auto s = static_cast<std::size_t>(i);
     const std::int32_t gi = prog_.in_guard[s];
     if (gi >= 0 &&
@@ -290,8 +362,8 @@ void Engine::compute(NodeId n, std::uint64_t k) {
     } else {
       const model::TokenAttrs& attrs =
           f.attrs[static_cast<std::size_t>(prog_.in_attr_source[s])];
-      const auto end = static_cast<std::size_t>(po + prog_.in_prog_len[s]);
-      for (auto j = static_cast<std::size_t>(po); j < end; ++j) {
+      const auto op_end = static_cast<std::size_t>(po + prog_.in_prog_len[s]);
+      for (auto j = static_cast<std::size_t>(po); j < op_end; ++j) {
         if (!prog_.op_exec[j]) {
           cursor = cursor * prog_.op_fixed[j];
           continue;
@@ -326,10 +398,7 @@ void Engine::compute(NodeId n, std::uint64_t k) {
     }
     acc = acc + cursor;
   }
-
-  ++computed_;
-  mark_known(f, n, k, acc);
-  resolve_dependents(f, n, k);
+  return acc;
 }
 
 void Engine::prune() {
@@ -354,7 +423,7 @@ void Engine::prune() {
 
 std::optional<TimePoint> Engine::value(NodeId n, std::uint64_t k) const {
   const Frame* f = frame_at(k);
-  if (f == nullptr || !f->known[static_cast<std::size_t>(n)] ||
+  if (f == nullptr || !f->known(n) ||
       !f->value[static_cast<std::size_t>(n)].is_finite())
     return std::nullopt;
   return f->value[static_cast<std::size_t>(n)].to_time();
@@ -381,8 +450,7 @@ void Engine::set_retain_margin(std::uint64_t frames) {
 std::optional<mp::Scalar> Engine::scalar_value(NodeId n,
                                                std::uint64_t k) const {
   const Frame* f = frame_at(k);
-  if (f == nullptr || !f->known[static_cast<std::size_t>(n)])
-    return std::nullopt;
+  if (f == nullptr || !f->known(n)) return std::nullopt;
   return f->value[static_cast<std::size_t>(n)];
 }
 
@@ -429,8 +497,7 @@ void Engine::seed_history(const HistoryWindow& w) {
     f.value.assign(w.values.begin() + static_cast<std::ptrdiff_t>(i * n_nodes_),
                    w.values.begin() +
                        static_cast<std::ptrdiff_t>((i + 1) * n_nodes_));
-    f.known.assign(n_nodes_, 1);
-    f.pending.assign(n_nodes_, 0);
+    f.pending.assign(n_nodes_, kKnown);
     f.attrs.assign(
         w.attrs.begin() + static_cast<std::ptrdiff_t>(i * n_sources_),
         w.attrs.begin() + static_cast<std::ptrdiff_t>((i + 1) * n_sources_));

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -89,7 +90,9 @@ class Engine {
 
   /// Feed an externally determined instant: an input offer (kInput nodes)
   /// or an actual boundary completion (kExternal nodes). Triggers
-  /// propagation. Each (node, k) may be fed exactly once.
+  /// propagation. Each (node, k) may be fed exactly once. \throws
+  /// maxev::Error for a bad node id or a computed (not externally fed)
+  /// node; the graph is read only to name the node in the message.
   void set_external(NodeId n, std::uint64_t k, TimePoint value);
 
   /// Provide the token attributes of source \p s for iteration \p k
@@ -195,18 +198,41 @@ class Engine {
   [[nodiscard]] const Program& program() const { return prog_; }
 
  private:
+  /// Frame::pending value of a determined instance. "Known" is folded into
+  /// the pending column: one int32 load answers both "known?" and "how many
+  /// prerequisites left?", and the hot path makes no char-typed store
+  /// (which the compiler must assume aliases every Program column and
+  /// engine member, forcing their reload after each instance).
+  static constexpr std::int32_t kKnown =
+      std::numeric_limits<std::int32_t>::min();
+
   struct Frame {
     std::vector<mp::Scalar> value;
-    std::vector<std::uint8_t> known;
     /// Unresolved prerequisites per node: one per in-arc whose source
     /// instance is not yet known, plus one per attr-needing in-arc whose
     /// source attributes are not yet set. A node computes exactly when its
     /// count reaches zero — every arc is processed once per iteration
-    /// (dependency-counting propagation, no readiness re-scans).
+    /// (dependency-counting propagation, no readiness re-scans). kKnown
+    /// once the instance is determined; -1 (and below) for externally fed
+    /// instances not yet fed.
     std::vector<std::int32_t> pending;
     std::vector<std::uint8_t> attr_known;
     std::vector<model::TokenAttrs> attrs;
     std::size_t known_count = 0;
+
+    [[nodiscard]] bool known(NodeId n) const {
+      return pending[static_cast<std::size_t>(n)] == kKnown;
+    }
+  };
+
+  /// A dependent made ready by resolve_dependents and held back from the
+  /// worklist: the instance the LIFO worklist would pop next, computed
+  /// directly instead (the tail call of the propagation chain). A null
+  /// frame means "none".
+  struct Ready {
+    Frame* frame = nullptr;
+    NodeId node = kNoNode;
+    std::uint64_t k = 0;
   };
 
   void init_from_program();
@@ -217,14 +243,28 @@ class Engine {
   [[nodiscard]] Frame* frame_at(std::uint64_t k);
   [[nodiscard]] const Frame* frame_at(std::uint64_t k) const;
 
-  /// Compute instance (n, k) — all prerequisites resolved.
-  void compute(NodeId n, std::uint64_t k);
-  void mark_known(Frame& f, NodeId n, std::uint64_t k, mp::Scalar v);
+  // compute, mark_known and resolve_dependents are defined inline in
+  // engine.cpp, their only user (drain()'s propagation loop).
+
+  /// Compute instance (n, k) of frame \p f — all prerequisites resolved,
+  /// not yet known. Returns the held dependent (see resolve_dependents).
+  inline Ready compute(Frame& f, NodeId n, std::uint64_t k);
+  /// The general segment interpreter: ⊕ over in-slots [begin, end) with
+  /// guards, history lookups and execute segments (observation included).
+  mp::Scalar evaluate_arcs(Frame& f, std::uint64_t k, std::int32_t begin,
+                           std::int32_t end);
+  inline void mark_known(Frame& f, NodeId n, std::uint64_t k, mp::Scalar v);
+  /// mark_known's observer half: record the instant and/or fire the
+  /// on_known callback, per \p flags.
+  void notify(NodeId n, std::uint64_t k, mp::Scalar v, std::uint8_t flags);
   /// Decrement dependents' pending counts after (n, k) became known; call
-  /// right after mark_known with the same frame. Re-validates \p f itself
-  /// when n carries an on_known callback (which may have pruned iteration k
+  /// right after mark_known with the same frame. Dependents that become
+  /// ready are pushed onto the worklist in out-arc order, except the last
+  /// one, which is returned for the caller to compute or push: the exact
+  /// item the LIFO worklist would pop next. Re-validates \p f itself when
+  /// n carries an on_known callback (which may have pruned iteration k
   /// re-entrantly by raising the retain floor).
-  void resolve_dependents(Frame& f, NodeId n, std::uint64_t k);
+  inline Ready resolve_dependents(Frame& f, NodeId n, std::uint64_t k);
   void decrement(Frame& f, NodeId n, std::uint64_t k);
   void drain();
   void flush_instants(NodeId n);
@@ -259,8 +299,9 @@ class Engine {
 
   // ---- Sink bindings (compile()-time resolution of prog_'s observation
   // metadata against this run's sinks) -------------------------------------
-  /// Per-node hot flags (kRecords | kHasCallback): one byte instead of two
-  /// pointer loads on every mark_known.
+  /// Per-node hot flags (kRecords | kHasCallback | kStraightLine): one byte
+  /// instead of two pointer loads on every mark_known, plus the node's
+  /// compute class.
   std::vector<std::uint8_t> node_flags_;
   std::vector<trace::UsageTrace*> op_trace_;   // per op: exec sink or null
   std::vector<std::int32_t> op_label_;         // per op: interned label id

@@ -272,10 +272,11 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, std::size_t max_depth)
+      : text_(text), max_depth_(max_depth) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value();
+    JsonValue v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return v;
@@ -284,6 +285,14 @@ class Parser {
  private:
   [[noreturn]] void fail(const std::string& what) const {
     throw Error("json_parse: " + what + " at offset " + std::to_string(pos_));
+  }
+
+  // Called on entering an array or object at nesting level \p depth
+  // (pos_ at its opening bracket).
+  void enter(std::size_t depth) const {
+    if (depth > max_depth_)
+      fail("nesting depth " + std::to_string(depth) + " exceeds the limit of " +
+           std::to_string(max_depth_));
   }
 
   void skip_ws() {
@@ -310,11 +319,12 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value() {
+  // depth: the arrays/objects enclosing this value.
+  JsonValue parse_value(std::size_t depth) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return JsonValue::string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("invalid literal");
@@ -329,7 +339,8 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
+    enter(depth);
     expect('{');
     std::map<std::string, JsonValue> members;
     skip_ws();
@@ -342,7 +353,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      JsonValue v = parse_value();
+      JsonValue v = parse_value(depth);
       if (!members.emplace(std::move(key), std::move(v)).second)
         fail("duplicate object key");
       skip_ws();
@@ -353,7 +364,8 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
+    enter(depth);
     expect('[');
     std::vector<JsonValue> items;
     skip_ws();
@@ -362,7 +374,7 @@ class Parser {
       return JsonValue::array(std::move(items));
     }
     for (;;) {
-      items.push_back(parse_value());
+      items.push_back(parse_value(depth));
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -479,12 +491,13 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t max_depth_;
 };
 
 }  // namespace
 
-JsonValue json_parse(std::string_view text) {
-  return Parser(text).parse_document();
+JsonValue json_parse(std::string_view text, std::size_t max_depth) {
+  return Parser(text, max_depth).parse_document();
 }
 
 namespace {

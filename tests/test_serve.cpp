@@ -25,6 +25,7 @@
 #include "study/study.hpp"
 #include "trace/instants.hpp"
 #include "trace/usage.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -490,6 +491,44 @@ TEST(ProtocolTest, ErrorsAreReportedInBandNeverThrown) {
                    .at("ok")
                    .as_bool());
   EXPECT_EQ(server.session_count(), 0u);
+}
+
+TEST(ProtocolTest, DeepNestingIsAnInBandErrorNotACrash) {
+  // One 300 KB line of '[' used to recurse the parser off the stack.
+  const std::string line(300 * 1024, '[');
+  serve::Server server;
+  const JsonValue reply = json_parse(server.handle(line));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  const std::string& error = reply.at("error").as_string();
+  EXPECT_NE(error.find("nesting depth 257 exceeds the limit of 256"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("at offset 256"), std::string::npos) << error;
+  // The server is still usable afterwards.
+  EXPECT_TRUE(json_parse(server.handle(R"({"cmd":"stats"})")).at("ok").as_bool());
+}
+
+// ------------------------------------------------------------ json ----
+
+TEST(JsonParseTest, NestingLimitCountsArraysAndObjects) {
+  const auto nested = [](std::size_t depth) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += i % 2 == 0 ? "[" : "{\"a\":";
+    s += "1";
+    for (std::size_t i = depth; i-- > 0;) s += i % 2 == 0 ? "]" : "}";
+    return s;
+  };
+  EXPECT_NO_THROW((void)json_parse(nested(kJsonMaxDepth)));
+  try {
+    (void)json_parse(nested(kJsonMaxDepth + 1));
+    ADD_FAILURE() << "expected a nesting-depth error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nesting depth 257"), std::string::npos) << what;
+  }
+  // The limit is per call, and closing a container frees its level.
+  EXPECT_THROW((void)json_parse("[[[1]]]", 2), Error);
+  EXPECT_NO_THROW((void)json_parse("[[1],[2],{\"a\":3}]", 2));
 }
 
 // ------------------------------------------------- study integration ----

@@ -264,7 +264,32 @@ TEST(EngineTest, DoubleExternalFeedThrows) {
 TEST(EngineTest, SetExternalOnComputedNodeThrows) {
   Graph g = feedback_graph();
   Engine e(g);
-  EXPECT_THROW(e.set_external(g.find("y"), 0, at(0)), Error);
+  try {
+    e.set_external(g.find("y"), 0, at(0));
+    ADD_FAILURE() << "feeding a computed node must throw";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("computed node 'y'"),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_FALSE(e.value(g.find("y"), 0).has_value());
+}
+
+TEST(EngineTest, SetExternalWithBadNodeIdThrows) {
+  Graph g = feedback_graph();
+  Engine e(g);
+  for (const NodeId bad : {kNoNode, static_cast<NodeId>(g.node_count())}) {
+    try {
+      e.set_external(bad, 0, at(0));
+      ADD_FAILURE() << "bad node id " << bad << " must throw";
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find("bad node id"), std::string::npos)
+          << err.what();
+    }
+  }
+  // The engine is still usable.
+  e.set_external(g.find("u"), 0, at(0));
+  EXPECT_EQ(e.value(g.find("y"), 0), at(5000));
 }
 
 TEST(EngineTest, RetainFloorEnablesPruning) {
