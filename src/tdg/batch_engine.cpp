@@ -345,17 +345,15 @@ void BatchEngine::drain() {
 
 mp::Scalar BatchEngine::compute_one(Frame& f, NodeId n, std::uint64_t k,
                                     std::size_t inst) {
-  // The scalar path: identical arithmetic to tdg::Engine's evaluation,
+  // The scalar path: identical arithmetic to tdg::Engine::evaluate_arcs,
   // lane-indexed. Loads are evaluated exactly once; busy intervals go to
   // the instance's own usage traces.
   //
-  // MUST MIRROR Engine::evaluate_arcs and the straight-line loop in
-  // Engine::compute (src/tdg/engine.cpp; the latter is evaluate_arcs minus
-  // the guard, history and segment branches its node class cannot take):
-  // the batched==solo bit-identity guarantee (DESIGN.md §9,
-  // tests/test_batch_engine.cpp) rests on these loops evaluating the
-  // shared tdg::Program with the same expressions — any arithmetic change
-  // there must be applied here too.
+  // MUST MIRROR Engine::evaluate_arcs (src/tdg/engine.cpp): the
+  // batched==solo bit-identity guarantee (DESIGN.md §9,
+  // tests/test_batch_engine.cpp) rests on both loops evaluating the shared
+  // tdg::Program with the same expressions — any arithmetic change there
+  // must be applied here too.
   mp::Scalar acc = mp::Scalar::eps();
   for (std::int32_t s = prog_.in_arc_offsets[static_cast<std::size_t>(n)];
        s < prog_.in_arc_offsets[static_cast<std::size_t>(n) + 1]; ++s) {

@@ -12,11 +12,6 @@ namespace maxev::tdg {
 namespace {
 constexpr std::uint8_t kRecords = 1;      // node has an instant series
 constexpr std::uint8_t kHasCallback = 2;  // node has an on_known callback
-constexpr std::uint8_t kObserved = kRecords | kHasCallback;
-// Straight-line node: every in-arc is same-frame, unguarded and pure
-// fixed-weight, so compute() runs a tight ⊕/⊗ loop instead of the general
-// segment interpreter.
-constexpr std::uint8_t kStraightLine = 4;
 }  // namespace
 
 Engine::Engine(const Graph& g, Options opts) : graph_(&g), opts_(opts) {
@@ -92,18 +87,8 @@ void Engine::compile() {
   }
 
   node_flags_.assign(n_nodes_, 0);
-  for (std::size_t n = 0; n < n_nodes_; ++n) {
+  for (std::size_t n = 0; n < n_nodes_; ++n)
     if (record_series_[n] != nullptr) node_flags_[n] |= kRecords;
-    if (prog_.static_pending[n] < 0) continue;  // externally fed: never computed
-    bool straight = true;
-    for (std::int32_t i = prog_.in_arc_offsets[n];
-         i < prog_.in_arc_offsets[n + 1] && straight; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      straight = prog_.in_lag[s] == 0 && prog_.in_guard[s] < 0 &&
-                 prog_.in_prog_off[s] < 0;
-    }
-    if (straight) node_flags_[n] |= kStraightLine;
-  }
 }
 
 void Engine::init_frame(Frame& f, std::uint64_t k) {
@@ -182,8 +167,7 @@ const Engine::Frame* Engine::frame_at(std::uint64_t k) const {
   f.value[static_cast<std::size_t>(n)] = v;
   f.pending[static_cast<std::size_t>(n)] = kKnown;
   ++f.known_count;
-  const std::uint8_t flags =
-      node_flags_[static_cast<std::size_t>(n)] & kObserved;
+  const std::uint8_t flags = node_flags_[static_cast<std::size_t>(n)];
   if (flags != 0) notify(n, k, v, flags);  // rare: an observer on this node
 }
 
@@ -234,23 +218,7 @@ void Engine::notify(NodeId n, std::uint64_t k, mp::Scalar v,
   const std::int32_t begin = prog_.in_arc_offsets[static_cast<std::size_t>(n)];
   const std::int32_t end =
       prog_.in_arc_offsets[static_cast<std::size_t>(n) + 1];
-  mp::Scalar acc = mp::Scalar::eps();
-  if (node_flags_[static_cast<std::size_t>(n)] & kStraightLine) {
-    // Same-frame, unguarded, pure fixed-weight in-arcs only: evaluate_arcs'
-    // loop without the branches this class cannot take (same ε skip, same
-    // overflow-checked ⊗, every arc counted as a term).
-    arc_terms_ += static_cast<std::uint64_t>(end - begin);
-    const mp::Scalar* value = f.value.data();
-    for (std::int32_t i = begin; i < end; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      const mp::Scalar cursor =
-          value[static_cast<std::size_t>(prog_.in_src[s])];
-      if (cursor.is_eps()) continue;  // guarded-off upstream
-      acc = acc + cursor * prog_.in_fixed[s];
-    }
-  } else {
-    acc = evaluate_arcs(f, k, begin, end);
-  }
+  const mp::Scalar acc = evaluate_arcs(f, k, begin, end);
 
   ++computed_;
   mark_known(f, n, k, acc);
@@ -333,9 +301,8 @@ mp::Scalar Engine::evaluate_arcs(Frame& f, std::uint64_t k, std::int32_t begin,
   //
   // MIRRORED BY BatchEngine::compute_one (src/tdg/batch_engine.cpp): the
   // batched==solo bit-identity guarantee requires any arithmetic change
-  // here (or in compute()'s straight-line loop, the same arithmetic minus
-  // the branches its node class cannot take) to be applied there too (and
-  // to its full-front fast path for the pure-fixed case).
+  // here to be applied there too (and to its full-front fast path for the
+  // pure-fixed case).
   mp::Scalar acc = mp::Scalar::eps();
   for (std::int32_t i = begin; i < end; ++i) {
     const auto s = static_cast<std::size_t>(i);

@@ -249,8 +249,8 @@ class Engine {
   /// Compute instance (n, k) of frame \p f — all prerequisites resolved,
   /// not yet known. Returns the held dependent (see resolve_dependents).
   inline Ready compute(Frame& f, NodeId n, std::uint64_t k);
-  /// The general segment interpreter: ⊕ over in-slots [begin, end) with
-  /// guards, history lookups and execute segments (observation included).
+  /// The segment interpreter: ⊕ over in-slots [begin, end) with guards,
+  /// history lookups and execute segments (observation included).
   mp::Scalar evaluate_arcs(Frame& f, std::uint64_t k, std::int32_t begin,
                            std::int32_t end);
   inline void mark_known(Frame& f, NodeId n, std::uint64_t k, mp::Scalar v);
@@ -299,9 +299,8 @@ class Engine {
 
   // ---- Sink bindings (compile()-time resolution of prog_'s observation
   // metadata against this run's sinks) -------------------------------------
-  /// Per-node hot flags (kRecords | kHasCallback | kStraightLine): one byte
-  /// instead of two pointer loads on every mark_known, plus the node's
-  /// compute class.
+  /// Per-node hot flags (kRecords | kHasCallback): one byte instead of two
+  /// pointer loads on every mark_known.
   std::vector<std::uint8_t> node_flags_;
   std::vector<trace::UsageTrace*> op_trace_;   // per op: exec sink or null
   std::vector<std::int32_t> op_label_;         // per op: interned label id

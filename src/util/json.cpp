@@ -272,8 +272,7 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view text, std::size_t max_depth)
-      : text_(text), max_depth_(max_depth) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
     JsonValue v = parse_value(0);
@@ -290,9 +289,9 @@ class Parser {
   // Called on entering an array or object at nesting level \p depth
   // (pos_ at its opening bracket).
   void enter(std::size_t depth) const {
-    if (depth > max_depth_)
+    if (depth > kJsonMaxDepth)
       fail("nesting depth " + std::to_string(depth) + " exceeds the limit of " +
-           std::to_string(max_depth_));
+           std::to_string(kJsonMaxDepth));
   }
 
   void skip_ws() {
@@ -491,13 +490,12 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  std::size_t max_depth_;
 };
 
 }  // namespace
 
-JsonValue json_parse(std::string_view text, std::size_t max_depth) {
-  return Parser(text, max_depth).parse_document();
+JsonValue json_parse(std::string_view text) {
+  return Parser(text).parse_document();
 }
 
 namespace {

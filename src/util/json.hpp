@@ -119,7 +119,7 @@ class JsonValue {
   std::map<std::string, JsonValue> members_;
 };
 
-/// Default nesting limit of json_parse: the deepest array/object nesting a
+/// Nesting limit of json_parse: the deepest array/object nesting a
 /// document may have. The parser recurses once per level, so the limit is
 /// what keeps a hostile line (say, 300 KB of '[') from exhausting the stack;
 /// the serve wire documents nest fewer than ten levels deep.
@@ -127,9 +127,8 @@ inline constexpr std::size_t kJsonMaxDepth = 256;
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 /// Throws maxev::Error with a byte offset on malformed input, and naming the
-/// depth and offset when arrays/objects nest deeper than \p max_depth.
-[[nodiscard]] JsonValue json_parse(std::string_view text,
-                                   std::size_t max_depth = kJsonMaxDepth);
+/// depth and offset when arrays/objects nest deeper than kJsonMaxDepth.
+[[nodiscard]] JsonValue json_parse(std::string_view text);
 
 /// Serialize a JsonValue tree back to compact JSON text. Object members are
 /// emitted in map order (alphabetical), so dump(parse(dump(v))) is stable.

@@ -267,11 +267,10 @@ TEST(ComputationOrderTest, LateAttrsReleaseInAttrTableOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// The straight-line class. Nodes whose in-arcs are all same-frame,
-// unguarded and pure fixed-weight take a dedicated ⊕/⊗ loop; every other
-// node (a lagged, guarded or executing in-arc) takes the general segment
-// interpreter. Both must agree with plain (max,+) matrix algebra, with the
-// event-driven baseline, and count the same work.
+// Pure fixed-weight nodes mixed with guarded, lagged and executing ones:
+// the engine must agree with plain (max,+) matrix algebra, carry ε through
+// pure chains, and count exactly the work the cost counters define (an arc
+// whose guard is false is not a term; an arc from an ε source is).
 // ---------------------------------------------------------------------------
 
 model::TokenAttrs mixed_attrs(std::uint64_t k) {
@@ -280,9 +279,8 @@ model::TokenAttrs mixed_attrs(std::uint64_t k) {
   return at;
 }
 
-/// Straight-line nodes p1..p5 and y interleaved with general-path nodes: g
-/// (guarded, ε when k % 3 == 0), h (lagged self-loop) and x (execute
-/// segment, attr-dependent).
+/// Pure nodes p1..p5 and y interleaved with g (guarded, ε when k % 3 == 0),
+/// h (lagged self-loop) and x (execute segment, attr-dependent).
 Graph mixed_class_graph(const model::ArchitectureDesc& desc) {
   GraphBuilder b(&desc);
   b.input("u").input("v");
@@ -295,9 +293,9 @@ Graph mixed_class_graph(const model::ArchitectureDesc& desc) {
   b.arc("u", "p2").fixed(Duration::ns(1));  // multi-in-arc pure node
   b.arc("v", "p2").fixed(Duration::ns(4));
   b.arc("p1", "p2");
-  b.arc("p2", "h").fixed(Duration::ns(1));  // lagged: general path
+  b.arc("p2", "h").fixed(Duration::ns(1));
   b.arc("h", "h").lag(1).fixed(Duration::ns(5));
-  b.arc("p2", "x").exec(0, model::linear_ops(0, 1), "x");  // exec: general
+  b.arc("p2", "x").exec(0, model::linear_ops(0, 1), "x");
   b.arc("h", "p3");
   b.arc("x", "p3").fixed(Duration::ns(2));
   b.arc("p1", "p3").fixed(Duration::ns(7));
@@ -310,7 +308,7 @@ Graph mixed_class_graph(const model::ArchitectureDesc& desc) {
   return g;
 }
 
-TEST(StraightLineClassTest, MixedGraphMatchesLinearSystem) {
+TEST(MixedArcKindsTest, MatchesLinearSystem) {
   model::ArchitectureDesc desc;
   desc.add_resource("P", model::ResourcePolicy::kConcurrent, 1e12);
   const Graph g = mixed_class_graph(desc);
@@ -352,12 +350,10 @@ TEST(StraightLineClassTest, MixedGraphMatchesLinearSystem) {
   EXPECT_EQ(e.arc_terms_evaluated(), 40u * 15u - 14u);
 }
 
-TEST(StraightLineClassTest, PaddedGraphCountsHandCountedWork) {
+TEST(MixedArcKindsTest, PaddedGraphCountsHandCountedWork) {
   // y(k) = max(u(k) + 5 ns, y(k-1) + 2 ns), each arc padded by 3 nodes:
   // u -> pad0 -> pad1 -> pad2 -> y and y -(lag 1)-> pad3 -> pad4 -> pad5
-  // -> y. pad3 reads a lagged arc (general path); pad0 is fed by an input
-  // through a pure arc and, like pad1, pad2, pad4, pad5 and y, is
-  // straight-line.
+  // -> y. pad3 reads the lagged arc; the other arcs are same-frame.
   GraphBuilder b;
   b.input("u");
   b.output("y");
@@ -384,30 +380,6 @@ TEST(StraightLineClassTest, PaddedGraphCountsHandCountedWork) {
   EXPECT_EQ(e.instances_computed(), 7u * kIters);
   EXPECT_EQ(e.arc_terms_evaluated(), 8u * kIters);
 }
-
-class StraightLineBaseline : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(StraightLineBaseline, PaddedDerivedGraphsReproduceBaseline) {
-  // Padding turns every derived arc into a chain whose head keeps the
-  // original weight, lag and guard (general path) and whose tail is pure
-  // (straight-line), so the padded equivalent model runs both classes
-  // side by side on every architecture.
-  gen::RandomArchConfig cfg;
-  cfg.tokens = 30;
-  const model::ArchitectureDesc desc =
-      gen::make_random_architecture(GetParam(), cfg);
-  core::ExperimentOptions opts;
-  opts.repetitions = 1;
-  opts.pad_nodes = 60;
-  const core::Comparison cmp = core::run_comparison(desc, opts);
-  EXPECT_TRUE(cmp.baseline.completed);
-  EXPECT_TRUE(cmp.equivalent.completed);
-  EXPECT_EQ(cmp.instant_mismatch, std::nullopt) << "seed " << GetParam();
-  EXPECT_EQ(cmp.usage_mismatch, std::nullopt) << "seed " << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StraightLineBaseline,
-                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace maxev::tdg
