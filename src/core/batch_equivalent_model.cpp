@@ -16,9 +16,8 @@ using model::Token;
 namespace {
 
 /// Validate that the merged description's slice at \p span is a structural
-/// replication of \p base under the "<name>/" namespace prefix — the
-/// per-member generalization of the PR-4 N-fold validator, checking the
-/// same surface as model::structurally_equal (table blocks, prefixed
+/// replication of \p base under the "<name>/" namespace prefix, checking
+/// the same surface as model::structurally_equal (table blocks, prefixed
 /// names, resource policies/rates, channel kinds/capacities, function body
 /// sizes, source token counts). Workload/schedule std::functions cannot be
 /// compared; the study layer guarantees them by handing every member the
@@ -72,57 +71,6 @@ void validate_replication(const model::ArchitectureDesc& merged,
 }  // namespace
 
 BatchEquivalentModel::~BatchEquivalentModel() = default;
-
-BatchEquivalentModel::BatchEquivalentModel(model::DescPtr merged,
-                                           model::DescPtr base,
-                                           std::vector<std::string> names,
-                                           std::vector<bool> group)
-    : BatchEquivalentModel(std::move(merged), std::move(base),
-                           std::move(names), std::move(group), Options{}) {}
-
-BatchEquivalentModel::BatchEquivalentModel(model::DescPtr merged,
-                                           model::DescPtr base,
-                                           std::vector<std::string> names,
-                                           std::vector<bool> group,
-                                           Options opts)
-    : BatchEquivalentModel(
-          std::move(merged),
-          [&]() -> std::vector<GroupSpec> {
-            if (base == nullptr)
-              throw DescriptionError("BatchEquivalentModel: null description");
-            GroupSpec spec;
-            spec.base = base;
-            spec.group = std::move(group);
-            spec.names = std::move(names);
-            // The homogeneous layout: instance i occupies the contiguous
-            // block [i * n, (i + 1) * n) of every merged table.
-            for (std::size_t i = 0; i < spec.names.size(); ++i) {
-              InstanceSpan span;
-              span.fn = i * base->functions().size();
-              span.ch = i * base->channels().size();
-              span.res = i * base->resources().size();
-              span.src = i * base->sources().size();
-              span.sink = i * base->sinks().size();
-              spec.spans.push_back(span);
-            }
-            return {std::move(spec)};
-          }(),
-          std::move(opts)) {
-  // The N-fold shape promised by the convenience signature: the merged
-  // tables are *exactly* N base blocks (the grouped constructor only
-  // bounds-checks each span, since groups may interleave with a
-  // remainder).
-  const model::ArchitectureDesc& bd = *groups_[0].base;
-  const std::size_t width = groups_[0].names.size();
-  if (desc_->functions().size() != width * bd.functions().size() ||
-      desc_->channels().size() != width * bd.channels().size() ||
-      desc_->resources().size() != width * bd.resources().size() ||
-      desc_->sources().size() != width * bd.sources().size() ||
-      desc_->sinks().size() != width * bd.sinks().size())
-    throw DescriptionError(
-        "BatchEquivalentModel: merged description is not an N-fold "
-        "replication of the base description");
-}
 
 BatchEquivalentModel::BatchEquivalentModel(model::DescPtr merged,
                                            std::vector<GroupSpec> groups,
@@ -254,8 +202,6 @@ void BatchEquivalentModel::build_group(std::size_t gi, const Options& opts) {
       CompiledKey{grp.base, grp.gflags, opts.fold, opts.pad_nodes});
 
   tdg::BatchEngine::Options eng_opts;
-  eng_opts.opcode_dispatch = opts.opcode_dispatch;
-  eng_opts.vector_drain = opts.vector_drain;
   eng_opts.instances.resize(width);
   for (std::size_t i = 0; i < width; ++i) {
     tdg::BatchEngine::InstanceSinks& sinks = eng_opts.instances[i];
@@ -342,7 +288,6 @@ void BatchEquivalentModel::build_isolated(const Options& opts) {
                   opts.pad_nodes * opts.isolated_instances});
 
   tdg::Engine::Options eng_opts;
-  eng_opts.opcode_dispatch = opts.opcode_dispatch;
   if (opts.observe) {
     eng_opts.instant_sink = &runtime_->mutable_instants();
     eng_opts.usage_sink = &runtime_->mutable_usage();

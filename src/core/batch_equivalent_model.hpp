@@ -120,13 +120,6 @@ class BatchEquivalentModel {
     /// isolated remainder). Null = compile here; a serve::ProgramCache
     /// deduplicates across study cells and composed sub-batches.
     CompiledProvider* compiled = nullptr;
-    /// Evaluate loads through the programs' opcode tables
-    /// (docs/DESIGN.md §14); applies to every group engine and the
-    /// isolated remainder engine.
-    bool opcode_dispatch = true;
-    /// Drain full uniform fronts with the SoA lane kernels
-    /// (tdg::BatchEngine::Options::vector_drain).
-    bool vector_drain = true;
   };
 
   /// Grouped construction: \p groups equal-structure sub-batches (each
@@ -136,16 +129,6 @@ class BatchEquivalentModel {
   ///         a structural replication of its group's base.
   BatchEquivalentModel(model::DescPtr merged, std::vector<GroupSpec> groups,
                        Options opts);
-
-  /// Homogeneous convenience (the PR-4 shape): the merged description is
-  /// an N-fold replication of \p base; instance i occupies block
-  /// [i*n, (i+1)*n) of every table.
-  BatchEquivalentModel(model::DescPtr merged, model::DescPtr base,
-                       std::vector<std::string> instance_names,
-                       std::vector<bool> group);
-  BatchEquivalentModel(model::DescPtr merged, model::DescPtr base,
-                       std::vector<std::string> instance_names,
-                       std::vector<bool> group, Options opts);
 
   BatchEquivalentModel(const BatchEquivalentModel&) = delete;
   BatchEquivalentModel& operator=(const BatchEquivalentModel&) = delete;
@@ -160,8 +143,8 @@ class BatchEquivalentModel {
   [[nodiscard]] model::ModelRuntime& runtime() { return *runtime_; }
   /// Number of equal-structure sub-batches.
   [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
-  /// The first group's base graph / engine — the whole model's, for the
-  /// homogeneous single-group case the convenience constructors build.
+  /// The first group's base graph / engine — the whole model's for a
+  /// single-group batch.
   [[nodiscard]] const tdg::Graph& graph() const {
     return groups_[0].compiled->graph;
   }

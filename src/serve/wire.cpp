@@ -653,9 +653,15 @@ tdg::Program program_from_json(const JsonValue& doc) {
       p.op_label.push_back(labels[i].as_string());
   }
 
-  const std::size_t n_guards = static_cast<std::size_t>(
-      member(doc, "n_guards", "program").as_uint64());
-  p.guards.assign(n_guards, tdg::GuardFn(opaque_stub<bool>("program.guards")));
+  // Program::compile pushes one guard per guarded arc, so a count above
+  // the arc count is malformed; reject it before it sizes an allocation.
+  const std::uint64_t n_guards =
+      member(doc, "n_guards", "program").as_uint64();
+  if (n_guards > p.in_src.size())
+    wire_fail(where("n_guards"), "exceeds the arc count " +
+                                     std::to_string(p.in_src.size()));
+  p.guards.assign(static_cast<std::size_t>(n_guards),
+                  tdg::GuardFn(opaque_stub<bool>("program.guards")));
   {
     const JsonValue& loads = member(doc, "loads", "program");
     if (!loads.is_array()) wire_fail(where("loads"), "expected an array");

@@ -39,10 +39,13 @@
 /// Construction *compiles* the frozen graph into a flat, cache-friendly
 /// program (tdg::Program, docs/DESIGN.md §7): CSR adjacency,
 /// struct-of-arrays arc and segment tables with pre-folded fixed weights
-/// and pre-resolved resource rates, guard/load std::functions hoisted into
-/// dense side tables indexed only by the arcs that carry them, and
-/// observation sinks resolved to direct columnar pointers with interned
-/// labels. The propagation hot path never touches the Graph object, a map,
+/// and pre-resolved resource rates, guard std::functions hoisted into a
+/// dense side table indexed only by the arcs that carry them, loads
+/// compiled to opcode rows (tdg::ops, docs/DESIGN.md §14: rate-constant
+/// durations folded to one table read, every other load evaluated by
+/// ops::eval_load, which calls the hoisted std::function only for opaque
+/// closures), and observation sinks resolved to direct columnar pointers
+/// with interned labels. The propagation hot path never touches the Graph object, a map,
 /// or a string. The same Program type also backs tdg::BatchEngine, which
 /// evaluates one program for N composed instances at once.
 
@@ -68,12 +71,6 @@ class Engine {
     /// core::EquivalentModel::Options / study::ScenarioOptions; 0 = no
     /// pre-sizing.
     std::size_t expected_iterations = 0;
-    /// Evaluate loads through the program's opcode tables (tdg::ops,
-    /// docs/DESIGN.md §14) instead of calling the hoisted std::function
-    /// per arc term. Identical arithmetic by construction — this toggle
-    /// exists for the differential equivalence sweep (tests/test_ops.cpp)
-    /// and the closure-dispatch ablation baseline.
-    bool opcode_dispatch = true;
   };
 
   /// \pre g.frozen()

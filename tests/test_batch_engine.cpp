@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baseline_oracle.hpp"
 #include "core/batch_equivalent_model.hpp"
 #include "core/equivalent_model.hpp"
 #include "gen/didactic.hpp"
@@ -10,6 +14,8 @@
 #include "lte/receiver.hpp"
 #include "model/baseline.hpp"
 #include "study/study.hpp"
+#include "tdg/batch_engine.hpp"
+#include "tdg/builder.hpp"
 #include "util/error.hpp"
 
 /// The batched multi-instance path (docs/DESIGN.md §9): composed scenarios
@@ -102,6 +108,22 @@ void expect_batched_matches_isolated(const Scenario& composed,
   // Same computation, counted per (node, iteration, instance) either way.
   EXPECT_EQ(batched->instances_computed(), isolated->instances_computed())
       << context;
+}
+
+/// One sub-batch over an N-fold replication of \p base: member i occupies
+/// block [i*n, (i+1)*n) of every merged table.
+core::BatchEquivalentModel::GroupSpec nfold(const model::DescPtr& base,
+                                            std::vector<std::string> names) {
+  core::BatchEquivalentModel::GroupSpec spec;
+  spec.base = base;
+  for (std::size_t i = 0; i < names.size(); ++i)
+    spec.spans.push_back({i * base->functions().size(),
+                          i * base->channels().size(),
+                          i * base->resources().size(),
+                          i * base->sources().size(),
+                          i * base->sinks().size()});
+  spec.names = std::move(names);
+  return spec;
 }
 
 // ------------------------------------------------------------ Eligibility
@@ -284,8 +306,8 @@ TEST(BatchEngineTest, LockSteppedClonesFormWideFronts) {
 
   std::vector<std::string> names;
   for (const Instance& inst : composed.instances()) names.push_back(inst.name);
-  core::BatchEquivalentModel m(composed.desc_ptr(), composed.batch_base(),
-                               names, {});
+  core::BatchEquivalentModel m(composed.desc_ptr(),
+                               {nfold(composed.batch_base(), names)}, {});
   ASSERT_TRUE(m.run().completed);
   ASSERT_GT(m.engine().fronts_drained(), 0u);
   const double width =
@@ -626,45 +648,12 @@ TEST(HeterogeneousBatchTest, InlineResumeClosesTheKernelEventGap) {
             isolated->kernel_stats().events_scheduled);
 }
 
-// ------------------------------------------------- Vector drain widths
+// ---------------------------------------------------- Full-front widths
 
-/// The SoA vector drain (tdg/lanes.hpp, docs/DESIGN.md §14) against the
-/// per-element mp::Scalar reference loop: identical traces, completion
-/// time and every counter, at the given batch width and drain thread
-/// count. The width walks vector-friendly lanes (2, 4, 8) and the
-/// remainder tails (1, 5, 7) that fall through to the kernels' scalar
-/// tail handling.
-void expect_vector_matches_reference(const Scenario& composed,
-                                     const char* context, int threads = 1) {
-  RunConfig ref_rc;
-  ref_rc.vector_drain = false;
-  RunConfig vec_rc;
-  vec_rc.threads = threads;
-  auto ref = Backend::equivalent().instantiate(composed, ref_rc);
-  auto vec = Backend::equivalent().instantiate(composed, vec_rc);
-  ASSERT_TRUE(ref->run().completed) << context;
-  ASSERT_TRUE(vec->run().completed) << context;
-
-  EXPECT_EQ(trace::compare_instants(ref->instants(), vec->instants()),
-            std::nullopt)
-      << context;
-  EXPECT_EQ(trace::compare_instants(vec->instants(), ref->instants()),
-            std::nullopt)
-      << context;
-  trace::UsageTraceSet ru = ref->usage();
-  trace::UsageTraceSet vu = vec->usage();
-  ru.sort_all();
-  vu.sort_all();
-  EXPECT_EQ(trace::compare_usage(ru, vu), std::nullopt) << context;
-  EXPECT_EQ(ref->end_time(), vec->end_time()) << context;
-  EXPECT_EQ(ref->relation_events(), vec->relation_events()) << context;
-  EXPECT_EQ(ref->instances_computed(), vec->instances_computed()) << context;
-  EXPECT_EQ(ref->arc_terms_evaluated(), vec->arc_terms_evaluated()) << context;
-  EXPECT_EQ(ref->kernel_stats().events_scheduled,
-            vec->kernel_stats().events_scheduled)
-      << context;
-}
-
+// Full uniform fronts drain as one mp::Scalar loop over the node's lane
+// row (docs/DESIGN.md §14). Walk the batch width through even lanes
+// (2, 4, 8), odd ones (5, 7) and the degenerate width 1, which never forms
+// a full front, against the event-driven baseline and a solo run.
 TEST(VectorDrainTest, LaneWidthInvariance) {
   gen::DidacticConfig cfg;
   cfg.tokens = 40;
@@ -672,10 +661,7 @@ TEST(VectorDrainTest, LaneWidthInvariance) {
   for (const std::size_t n : {1u, 2u, 4u, 5u, 7u, 8u}) {
     const Scenario composed = compose_clones(desc, n);
     const std::string ctx = "didactic width " + std::to_string(n);
-    // Against the reference loop at the same width, and — via the solo
-    // helper, which runs the default (vector) configuration — against a
-    // solo tdg::Engine run of the shared description.
-    expect_vector_matches_reference(composed, ctx.c_str());
+    expect_batched_matches_baseline(composed, ctx);
     expect_clones_match_solo(composed, desc, {}, ctx.c_str());
   }
 }
@@ -688,17 +674,16 @@ TEST(VectorDrainTest, RandomArchWidths) {
     const auto desc = model::share(gen::make_random_architecture(seed, cfg));
     for (const std::size_t n : {2u, 5u, 8u}) {
       const Scenario composed = compose_clones(desc, n);
-      const std::string ctx =
-          "seed " + std::to_string(seed) + " width " + std::to_string(n);
-      expect_vector_matches_reference(composed, ctx.c_str());
+      expect_batched_matches_baseline(
+          composed,
+          "seed " + std::to_string(seed) + " width " + std::to_string(n));
     }
   }
 }
 
 TEST(VectorDrainTest, ComposesWithGroupThreads) {
-  // Stacked levers: two equal-structure sub-batches drained by worker
-  // threads, each sub-batch's uniform fronts going through the vector
-  // kernels. Traces must stay those of the serial reference loop.
+  // Two equal-structure sub-batches drained by worker threads, each
+  // sub-batch's uniform fronts going through the lane loop.
   gen::DidacticConfig ca;
   ca.tokens = 40;
   gen::DidacticConfig cb;
@@ -712,10 +697,48 @@ TEST(VectorDrainTest, ComposesWithGroupThreads) {
   }
   const Scenario mixed = compose("ab44", parts);
   ASSERT_EQ(mixed.batch_groups().size(), 2u);
-  for (const int threads : {2, 8}) {
-    const std::string ctx = "ab44 threads " + std::to_string(threads);
-    expect_vector_matches_reference(mixed, ctx.c_str(), threads);
+  expect_batched_matches_baseline(mixed, "ab44");
+}
+
+// A full uniform front whose ⊗ overflows in one lane throws the solo
+// engine's OverflowError and publishes nothing: no lane of the front
+// becomes visible and nothing is counted as computed.
+TEST(BatchEngineTest, UniformFrontOverflowPublishesNoLane) {
+  tdg::GraphBuilder b;
+  b.input("u").instant("a").instant("b");
+  b.arc("u", "a").fixed(Duration::ns(1));
+  b.arc("a", "b").fixed(Duration::ns(2));
+  tdg::Graph g = b.take();
+  g.freeze();
+
+  tdg::BatchEngine::Options opts;
+  opts.instances.resize(4);  // every lane fed -> full uniform fronts
+  tdg::BatchEngine eng(g, opts);
+  for (std::size_t inst = 0; inst < 3; ++inst)
+    eng.set_external(inst, 0, 0,
+                     TimePoint::at_ps(10 * static_cast<std::int64_t>(inst)));
+  eng.set_external(3, 0, 0,
+                   TimePoint::at_ps(std::numeric_limits<std::int64_t>::max()));
+  EXPECT_THROW((void)eng.flush(), OverflowError);
+  for (std::size_t inst = 0; inst < 4; ++inst)
+    for (const tdg::NodeId n : {1, 2})
+      EXPECT_EQ(eng.value(inst, n, 0), std::nullopt)
+          << "inst " << inst << " node " << n;
+  EXPECT_EQ(eng.instances_computed(), 0u);
+
+  // A fresh engine over the same graph with in-range feeds completes with
+  // the per-lane values.
+  tdg::BatchEngine ok(g, opts);
+  for (std::size_t inst = 0; inst < 4; ++inst)
+    ok.set_external(inst, 0, 0,
+                    TimePoint::at_ps(10 * static_cast<std::int64_t>(inst)));
+  EXPECT_TRUE(ok.flush());
+  for (std::size_t inst = 0; inst < 4; ++inst) {
+    const std::int64_t u = 10 * static_cast<std::int64_t>(inst);
+    EXPECT_EQ(ok.value(inst, 1, 0), TimePoint::at_ps(u + 1000));
+    EXPECT_EQ(ok.value(inst, 2, 0), TimePoint::at_ps(u + 3000));
   }
+  EXPECT_EQ(ok.instances_computed(), 8u);
 }
 
 TEST(BatchEngineTest, MergedDescriptionMismatchRejected) {
@@ -727,19 +750,20 @@ TEST(BatchEngineTest, MergedDescriptionMismatchRejected) {
   parts.emplace_back("a", base);
   parts.emplace_back("b", base);
   const Scenario composed = compose("c", parts);
-  // Wrong base for this merged description: the N-fold check must fire
-  // before anything is wired.
-  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(), other,
-                                          {"a", "b", "c"}, {}),
+  // Wrong base and one member too many for this merged description: the
+  // replication check must fire before anything is wired.
+  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
+                                          {nfold(other, {"a", "b", "c"})},
+                                          {}),
                DescriptionError);
   // Same table *sizes* but different content (token counts differ): the
   // structural replication check must still reject the wrong base.
-  EXPECT_THROW(
-      core::BatchEquivalentModel(composed.desc_ptr(), other, {"a", "b"}, {}),
-      DescriptionError);
+  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
+                                          {nfold(other, {"a", "b"})}, {}),
+               DescriptionError);
   // And the right base passes.
-  EXPECT_NO_THROW(
-      core::BatchEquivalentModel(composed.desc_ptr(), base, {"a", "b"}, {}));
+  EXPECT_NO_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
+                                             {nfold(base, {"a", "b"})}, {}));
 }
 
 }  // namespace

@@ -202,6 +202,31 @@ TEST(WireProgramTest, RejectsCorruptTables) {
       serve::WireError);
 }
 
+// Program::compile pushes one guard per guarded arc, so n_guards can never
+// exceed the arc count; a larger count is rejected before it sizes the
+// guard table.
+TEST(WireProgramTest, RejectsGuardCountAboveArcCount) {
+  const core::CompiledPtr compiled =
+      core::compile_abstraction(core::CompiledKey::make(
+          model::share(gen::make_didactic(small_didactic())), {}, true, 0));
+  const JsonValue doc =
+      json_parse(serve::program_to_json(compiled->program));
+  const auto n_arcs =
+      static_cast<std::int64_t>(compiled->program.in_src.size());
+  for (const std::int64_t n_guards : {n_arcs + 1, std::int64_t{1} << 40}) {
+    auto members = doc.members();
+    members["n_guards"] = JsonValue::integer(n_guards);
+    try {
+      (void)serve::program_from_json(json_dump(JsonValue::object(members)));
+      ADD_FAILURE() << "n_guards " << n_guards << " accepted";
+    } catch (const serve::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("program.n_guards"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ------------------------------------------------------ program cache ----
 
 TEST(ProgramCacheTest, CountsHitsAndMisses) {
