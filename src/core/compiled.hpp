@@ -12,9 +12,9 @@
 /// \file compiled.hpp
 /// The reusable compilation artifact of one abstraction: everything
 /// derive → fold → pad → freeze → Program::compile produces, bundled with
-/// the key that identifies it. core::EquivalentModel and
-/// core::BatchEquivalentModel consume these instead of re-deriving per run,
-/// and serve::ProgramCache stores them across runs (the study-matrix
+/// the key that identifies it. core::EquivalentModel consumes these (its
+/// inline abstraction and every sub-batch base) instead of re-deriving per
+/// run, and serve::ProgramCache stores them across runs (the study-matrix
 /// speed-up of docs/DESIGN.md §13).
 ///
 /// Sharing rule (the Desc structural-surface contract, desc.hpp): a
@@ -29,7 +29,7 @@ namespace maxev::core {
 
 /// Identity of a compiled abstraction. `group` is stored normalized
 /// (empty → all functions abstracted; sized to functions().size()), the
-/// same normalization EquivalentModel and BatchEquivalentModel apply, so
+/// same normalization EquivalentModel applies to its sub-batch groups, so
 /// solo and batch-group requests for the same abstraction unify.
 struct CompiledKey {
   model::DescPtr desc;

@@ -147,9 +147,9 @@ class Kernel {
   /// returns false, so it must be idempotent at quiescence.
   ///
   /// This is how deferred computation batches across same-instant events:
-  /// core::BatchEquivalentModel lets all instances' feeds of one instant
-  /// accumulate and drains the resulting iteration fronts here, in one
-  /// pass (docs/DESIGN.md §9). One hook per kernel; passing an empty
+  /// core::EquivalentModel's sub-batches let all instances' feeds of one
+  /// instant accumulate and drain the resulting iteration fronts here, in
+  /// one pass (docs/DESIGN.md §9). One hook per kernel; passing an empty
   /// function removes it. Install before run(): the hook's presence is
   /// sampled once per run() call (the hook-less event loop stays free of
   /// the check).

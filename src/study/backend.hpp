@@ -18,9 +18,10 @@
 /// (every relation simulated), the equivalent model (internal relations
 /// replaced by dynamically computed instants — the paper's method), or the
 /// loosely-timed runner (temporal decoupling under a global quantum — the
-/// TLM-LT foil from the paper's introduction). Backend::instantiate() hides
-/// the three divergent model classes behind one Model interface, so studies,
-/// examples and benches drive every execution style the same way.
+/// TLM-LT foil from the paper's introduction), or the adaptive model.
+/// Backend::instantiate() hides the divergent model classes behind one Model
+/// interface, so studies, examples and benches drive every execution style
+/// the same way.
 
 namespace maxev::core {
 class CompiledProvider;
@@ -142,17 +143,18 @@ struct RunConfig {
   /// Run composed scenarios with equal-structure sub-batches
   /// (Scenario::partially_batchable(): >= 2 instances sharing one
   /// description + abstraction group, possibly several such groups)
-  /// through the batched equivalent model — one compiled program + shared
-  /// frame arena per sub-batch, the isolated remainder on the merged
+  /// as sub-batches of the equivalent model — one compiled program + shared
+  /// frame arena per sub-batch, the remaining instances on the merged
   /// inline engine, all in one kernel — instead of the N-times-larger
   /// merged graph. On by default; per-instance traces are bit-identical
   /// either way (docs/DESIGN.md §9–§10). Only the equivalent backend
   /// consults this.
   bool batch_composed = true;
   /// Worker threads draining a batched composition's per-group engines
-  /// between timestep barriers (core::BatchEquivalentModel::Options::
-  /// threads; docs/DESIGN.md §11). 1 = serial drain (the default; also
-  /// used when a model has < 2 sub-batches), 0 = one per hardware thread.
+  /// between timestep barriers (core::EquivalentModel::Options::threads;
+  /// docs/DESIGN.md §11). 1 = every group on the calling thread (the
+  /// default; also when a model has < 2 sub-batches), 0 = one per
+  /// hardware thread.
   /// Traces and reports are bit-identical at any setting.
   int threads = 1;
   /// Run guards (sim::RunGuards), applied to every instantiated model's

@@ -58,7 +58,7 @@ struct StudyOptions {
   int threads = 1;
   /// Worker threads *inside* each batched composed cell, draining its
   /// per-group engines between timestep barriers (RunConfig::threads /
-  /// core::BatchEquivalentModel::Options::threads). Independent of
+  /// core::EquivalentModel::Options::threads). Independent of
   /// `threads`; both levers may be combined. 1 = serial drain (default),
   /// 0 = one per hardware thread.
   int group_threads = 1;

@@ -299,6 +299,13 @@ void BatchEngine::resolve_dependents(Frame& f, NodeId n, std::uint64_t k,
 }
 
 bool BatchEngine::flush() {
+  // Capture callbacks for fire_deferred(); restore inline firing even if a
+  // guard/load closure throws mid-drain.
+  struct Scope {
+    bool& flag;
+    ~Scope() { flag = false; }
+  } scope{defer_callbacks_};
+  defer_callbacks_ = true;
   if (worklist_.empty()) {
     prune();
     return false;
@@ -308,21 +315,11 @@ bool BatchEngine::flush() {
   return true;
 }
 
-bool BatchEngine::flush_deferred() {
-  // Restore inline firing even if a guard/load closure throws mid-drain.
-  struct Scope {
-    bool& flag;
-    ~Scope() { flag = false; }
-  } scope{defer_callbacks_};
-  defer_callbacks_ = true;
-  return flush();
-}
-
 bool BatchEngine::fire_deferred() {
   if (deferred_.empty()) return false;
   // Swap out first: a callback may resume a writer inline whose channel
   // hooks feed this engine again (resolve_now fires further callbacks
-  // inline — defer mode is off here, matching the serial path).
+  // inline — capture is off outside flush()).
   std::vector<PendingCallback> pending;
   pending.swap(deferred_);
   for (const PendingCallback& cb : pending) callbacks_[cb.lane](cb.k, cb.t);

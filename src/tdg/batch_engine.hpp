@@ -38,8 +38,8 @@
 ///
 /// Iteration fronts — deferred drains. Unlike tdg::Engine, the set_*
 /// feeds never propagate immediately: they enqueue work, and flush()
-/// drains it. The intended driver (core::BatchEquivalentModel) calls
-/// flush() from the kernel's timestep hook, i.e. once per simulated
+/// drains it. core::EquivalentModel, which runs each sub-batch on one,
+/// calls flush() from the kernel's timestep hook, i.e. once per simulated
 /// instant, after *every* instance's feeds for that instant have arrived.
 /// Ready instances of the same (node, k) then collect into one front that
 /// is computed in a single pass over the shared arc tables — with N
@@ -108,31 +108,23 @@ class BatchEngine {
 
   /// Drain every pending iteration front (compute all instances that
   /// became ready, cascading until quiescence), then reclaim dead frames.
+  /// Computed values, instant series and usage traces are written as the
+  /// drain goes (all of them private to this engine's instances), but the
+  /// on_known callbacks — which reach into the simulation kernel (event
+  /// notifies, gated-rendezvous resolution) — are *captured* in drain
+  /// order for fire_deferred(). Several engines may therefore flush
+  /// concurrently, nothing they touch being shared, and the kernel-facing
+  /// side effects are published serially afterwards (docs/DESIGN.md §11).
   /// Returns true when at least one instance was computed — the kernel's
   /// timestep hook uses this to know whether new events may have been
   /// scheduled.
   bool flush();
 
-  /// flush() with on_known callbacks *captured* instead of fired: computed
-  /// values, instant series and usage traces are written as usual (all of
-  /// them private to this engine's instances), but the callbacks — which
-  /// reach into the simulation kernel (event notifies, gated-rendezvous
-  /// resolution) — are recorded in drain order for a later fire_deferred().
-  /// This is the compute phase of the parallel per-group drain
-  /// (docs/DESIGN.md §11): several engines may flush_deferred()
-  /// concurrently because nothing they touch is shared; the kernel-facing
-  /// side effects are then replayed serially. Values are identical to
-  /// flush() — fronts are drain-order independent — and per-engine
-  /// callback order is identical too, since the single-threaded drain
-  /// inside the engine is unchanged.
-  bool flush_deferred();
-
-  /// Fire the callbacks captured by flush_deferred(), in capture (drain)
-  /// order, on the calling thread. Callbacks may feed this or any other
-  /// engine (set_external via channel hooks) and resume simulation
-  /// processes inline; such feeds enqueue new fronts for the next flush,
-  /// exactly as they would mid-drain on the serial path. Returns true when
-  /// at least one callback fired.
+  /// Fire the callbacks captured by flush(), in capture (drain) order, on
+  /// the calling thread. Callbacks may feed this or any other engine
+  /// (set_external via channel hooks) and resume simulation processes
+  /// inline; such feeds enqueue new fronts for the next flush. Returns
+  /// true when at least one callback fired.
   bool fire_deferred();
 
   /// The inline-resume fast path (docs/DESIGN.md §10): if (inst, n, k) is
@@ -272,7 +264,8 @@ class BatchEngine {
   std::vector<std::pair<NodeId, std::uint64_t>> worklist_;
   bool draining_ = false;
 
-  /// Deferred-callback state (flush_deferred / fire_deferred).
+  /// Callbacks captured by flush() for fire_deferred(). Outside a flush
+  /// (resolve_now from a gated reader) callbacks fire inline.
   struct PendingCallback {
     std::size_t lane = 0;
     std::uint64_t k = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,26 +11,28 @@
 
 /// \file baseline_oracle.hpp
 /// The differential check shared by the batched-drain sweeps
-/// (test_ops.cpp, test_batch_engine.cpp): a composed scenario's batched
-/// equivalent run against the event-driven baseline, the independent
-/// oracle of the paper's accuracy claim.
+/// (test_ops.cpp, test_batch_engine.cpp, test_parallel.cpp): a composed
+/// scenario's batched equivalent run against the event-driven baseline,
+/// the independent oracle of the paper's accuracy claim.
 
 namespace maxev {
 
 /// Run the batched equivalent model of \p composed with the per-group
-/// drain at threads {1, 2, 8}. Every run must reproduce the baseline's
-/// instants in both directions and its sorted usage bit for bit, and the
-/// threaded runs must do exactly the work of the serial one (instances,
-/// arc terms, relation events, kernel events).
-inline void expect_batched_matches_baseline(const study::Scenario& composed,
-                                            const std::string& ctx) {
+/// drain at each of \p threads (the first is the reference; 1 by
+/// default). Every run must reproduce the baseline's instants in both
+/// directions and its sorted usage bit for bit, and every later run must do
+/// exactly the work of the first one (instances, arc terms, relation
+/// events, kernel events).
+inline void expect_batched_matches_baseline(
+    const study::Scenario& composed, const std::string& ctx,
+    std::initializer_list<int> threads_list = {1, 2, 8}) {
   auto baseline = study::Backend::baseline().instantiate(composed);
   ASSERT_TRUE(baseline->run().completed) << ctx;
   trace::UsageTraceSet baseline_usage = baseline->usage();
   baseline_usage.sort_all();
 
   std::unique_ptr<study::Model> serial;
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : threads_list) {
     const std::string at = ctx + " t" + std::to_string(threads);
     study::RunConfig rc;  // batch_composed defaults to true
     rc.threads = threads;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "baseline_oracle.hpp"
-#include "core/batch_equivalent_model.hpp"
 #include "core/equivalent_model.hpp"
 #include "gen/didactic.hpp"
 #include "gen/random_arch.hpp"
@@ -110,11 +109,12 @@ void expect_batched_matches_isolated(const Scenario& composed,
       << context;
 }
 
-/// One sub-batch over an N-fold replication of \p base: member i occupies
-/// block [i*n, (i+1)*n) of every merged table.
-core::BatchEquivalentModel::GroupSpec nfold(const model::DescPtr& base,
-                                            std::vector<std::string> names) {
-  core::BatchEquivalentModel::GroupSpec spec;
+/// Equivalent-model options carrying one sub-batch over an N-fold
+/// replication of \p base: member i occupies block [i*n, (i+1)*n) of every
+/// merged table.
+core::EquivalentModel::Options nfold(const model::DescPtr& base,
+                                     std::vector<std::string> names) {
+  core::EquivalentModel::GroupSpec spec;
   spec.base = base;
   for (std::size_t i = 0; i < names.size(); ++i)
     spec.spans.push_back({i * base->functions().size(),
@@ -123,7 +123,9 @@ core::BatchEquivalentModel::GroupSpec nfold(const model::DescPtr& base,
                           i * base->sources().size(),
                           i * base->sinks().size()});
   spec.names = std::move(names);
-  return spec;
+  core::EquivalentModel::Options opts;
+  opts.groups.push_back(std::move(spec));
+  return opts;
 }
 
 // ------------------------------------------------------------ Eligibility
@@ -306,15 +308,19 @@ TEST(BatchEngineTest, LockSteppedClonesFormWideFronts) {
 
   std::vector<std::string> names;
   for (const Instance& inst : composed.instances()) names.push_back(inst.name);
-  core::BatchEquivalentModel m(composed.desc_ptr(),
-                               {nfold(composed.batch_base(), names)}, {});
+  // Every instance sits in the sub-batch: nothing is left for the inline
+  // engine.
+  core::EquivalentModel m(composed.desc_ptr(), {},
+                          nfold(composed.batch_base(), names));
   ASSERT_TRUE(m.run().completed);
-  ASSERT_GT(m.engine().fronts_drained(), 0u);
-  const double width =
-      static_cast<double>(m.engine().instances_computed()) /
-      static_cast<double>(m.engine().fronts_drained());
+  ASSERT_EQ(m.group_count(), 1u);
+  const tdg::BatchEngine& engine = m.batch_engine(0);
+  ASSERT_GT(engine.fronts_drained(), 0u);
+  const double width = static_cast<double>(engine.instances_computed()) /
+                       static_cast<double>(engine.fronts_drained());
   EXPECT_GT(width, 4.0);  // near 8 in practice; > 4 guards the mechanism
-  EXPECT_EQ(m.engine().width(), 8u);
+  EXPECT_EQ(engine.width(), 8u);
+  EXPECT_EQ(m.instances_computed(), engine.instances_computed());
 }
 
 // ------------------------------------------- Heterogeneous sub-batches
@@ -752,18 +758,17 @@ TEST(BatchEngineTest, MergedDescriptionMismatchRejected) {
   const Scenario composed = compose("c", parts);
   // Wrong base and one member too many for this merged description: the
   // replication check must fire before anything is wired.
-  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
-                                          {nfold(other, {"a", "b", "c"})},
-                                          {}),
+  EXPECT_THROW(core::EquivalentModel(composed.desc_ptr(), {},
+                                     nfold(other, {"a", "b", "c"})),
                DescriptionError);
   // Same table *sizes* but different content (token counts differ): the
   // structural replication check must still reject the wrong base.
-  EXPECT_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
-                                          {nfold(other, {"a", "b"})}, {}),
+  EXPECT_THROW(core::EquivalentModel(composed.desc_ptr(), {},
+                                     nfold(other, {"a", "b"})),
                DescriptionError);
   // And the right base passes.
-  EXPECT_NO_THROW(core::BatchEquivalentModel(composed.desc_ptr(),
-                                             {nfold(base, {"a", "b"})}, {}));
+  EXPECT_NO_THROW(core::EquivalentModel(composed.desc_ptr(), {},
+                                        nfold(base, {"a", "b"})));
 }
 
 }  // namespace

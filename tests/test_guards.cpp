@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/equivalent_model.hpp"
 #include "core/lt_runner.hpp"
@@ -206,6 +207,35 @@ TEST(StallDiagnosticsTest, EquivalentStallNamesUnresolvedGates) {
   EXPECT_FALSE(out.diagnostics.unresolved_gates.empty());
   for (const std::string& gate : out.diagnostics.unresolved_gates)
     EXPECT_NE(gate.find("@k="), std::string::npos);
+}
+
+TEST(StallDiagnosticsTest, BatchedRunReportsTheInlineRemaindersGates) {
+  // Two didactic clones share one description (a sub-batch when batched);
+  // the stalling join has no partner and runs on the inline engine. Its
+  // parked offer must be reported whether or not the clones are batched.
+  const model::DescPtr didactic = model::share(gen::make_didactic({}));
+  std::vector<study::Scenario> parts;
+  parts.emplace_back("a0", didactic);
+  parts.emplace_back("a1", didactic);
+  parts.emplace_back("stall", stalling_desc());
+  const study::Scenario composed = study::compose("mixed", parts);
+  ASSERT_EQ(composed.batch_groups().size(), 1u);
+
+  std::vector<std::vector<std::string>> gates;
+  for (const bool batched : {true, false}) {
+    study::RunConfig rc;
+    rc.batch_composed = batched;
+    auto m = study::Backend::equivalent().instantiate(composed, rc);
+    const model::ModelRuntime::Outcome out = m->run();
+    EXPECT_FALSE(out.completed) << "batched=" << batched;
+    EXPECT_TRUE(out.idle) << "batched=" << batched;
+    ASSERT_FALSE(out.diagnostics.unresolved_gates.empty())
+        << "batched=" << batched;
+    for (const std::string& gate : out.diagnostics.unresolved_gates)
+      EXPECT_NE(gate.find("stall/"), std::string::npos) << gate;
+    gates.push_back(out.diagnostics.unresolved_gates);
+  }
+  EXPECT_EQ(gates[0], gates[1]);
 }
 
 // -------------------------------------------------- per-cell isolation ----

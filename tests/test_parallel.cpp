@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline_oracle.hpp"
 #include "gen/didactic.hpp"
 #include "gen/random_arch.hpp"
 #include "lte/receiver.hpp"
@@ -19,8 +20,9 @@
 
 /// The threading layer (docs/DESIGN.md §11): util::ThreadPool semantics,
 /// and the determinism contract of both parallelism levers — a
-/// thread-parallel study matrix and parallel per-group batch drains must be
-/// bit-identical to their serial counterparts, run after run.
+/// thread-parallel study matrix must be bit-identical to the serial one,
+/// and parallel per-group batch drains must reproduce the event-driven
+/// baseline with the one-thread drain's work, run after run.
 
 namespace maxev {
 namespace {
@@ -230,7 +232,7 @@ TEST(ParallelStudyTest, OptionErrorsIdenticalAtAnyThreadCount) {
 
 // ------------------------------------- determinism: per-group batch drains
 
-/// The ISSUE acceptance workload: 4+4 LTE receivers of two carrier
+/// The carrier-aggregation workload: 4+4 LTE receivers of two carrier
 /// variants — two equal-structure sub-batches in one kernel.
 Scenario lte_4p4() {
   lte::ReceiverConfig c1;
@@ -250,55 +252,24 @@ Scenario lte_4p4() {
   return study::compose("ca44", parts);
 }
 
-/// Run the composed scenario on the equivalent backend with the given
-/// group-drain thread count and compare everything observable against the
-/// serial reference model.
-void expect_parallel_drain_matches_serial(const Scenario& scenario,
-                                          int threads) {
-  RunConfig serial_rc;
-  auto ref = Backend::equivalent().instantiate(scenario, serial_rc);
-  ASSERT_TRUE(ref->run().completed);
-
-  RunConfig rc;
-  rc.threads = threads;
-  auto par = Backend::equivalent().instantiate(scenario, rc);
-  ASSERT_TRUE(par->run().completed) << "threads=" << threads;
-
-  EXPECT_EQ(trace::compare_instants(ref->instants(), par->instants()),
-            std::nullopt)
-      << "threads=" << threads;
-  trace::UsageTraceSet ru = ref->usage();
-  trace::UsageTraceSet pu = par->usage();
-  ru.sort_all();
-  pu.sort_all();
-  EXPECT_EQ(trace::compare_usage(ru, pu), std::nullopt)
-      << "threads=" << threads;
-
-  EXPECT_EQ(ref->end_time(), par->end_time());
-  EXPECT_EQ(ref->relation_events(), par->relation_events());
-  EXPECT_EQ(ref->instances_computed(), par->instances_computed());
-  EXPECT_EQ(ref->arc_terms_evaluated(), par->arc_terms_evaluated());
-  EXPECT_EQ(ref->kernel_stats().events_scheduled,
-            par->kernel_stats().events_scheduled);
-  EXPECT_EQ(ref->kernel_stats().resumes, par->kernel_stats().resumes);
-  EXPECT_EQ(ref->kernel_stats().inline_resumes,
-            par->kernel_stats().inline_resumes);
-}
+// Every run is checked against the event-driven baseline, and the threaded
+// drains must do exactly the work of the one-thread drain
+// (expect_batched_matches_baseline).
 
 TEST(ParallelDrainTest, LteFourPlusFourMatchesSerial) {
   const Scenario mixed = lte_4p4();
   ASSERT_EQ(mixed.batch_groups().size(), 2u);
-  for (const int threads : {2, 4, 8})
-    expect_parallel_drain_matches_serial(mixed, threads);
+  expect_batched_matches_baseline(mixed, "ca44", {1, 2, 4, 8});
 }
 
 TEST(ParallelDrainTest, RepeatedRunsAreStable) {
   // The stress round: the parallel drain re-run N times must keep
-  // producing the serial traces (a scheduling-order sensitivity would show
-  // up as flaky inequality here, and as a race under the TSan CI job).
+  // producing the baseline traces (a scheduling-order sensitivity would
+  // show up as flaky inequality here, and as a race under the TSan CI job).
   const Scenario mixed = lte_4p4();
   for (int round = 0; round < 5; ++round)
-    expect_parallel_drain_matches_serial(mixed, 4);
+    expect_batched_matches_baseline(mixed, "round " + std::to_string(round),
+                                    {1, 4});
 }
 
 TEST(ParallelDrainTest, RandomArchGroupsMatchSerial) {
@@ -315,13 +286,14 @@ TEST(ParallelDrainTest, RandomArchGroupsMatchSerial) {
     parts.emplace_back("a1", a);
     parts.emplace_back("b1", b);
     const Scenario mixed = study::compose("rmix", parts);
-    expect_parallel_drain_matches_serial(mixed, 2);
+    expect_batched_matches_baseline(mixed, "seed " + std::to_string(seed),
+                                    {1, 2});
   }
 }
 
-TEST(ParallelDrainTest, SingleGroupFallsBackToSerialDrain) {
-  // A homogeneous composition has one sub-batch: threads > 1 must take the
-  // serial drain (nothing to overlap) and still be exact.
+TEST(ParallelDrainTest, SingleGroupDrainsOnTheCallingThread) {
+  // A homogeneous composition has one sub-batch: threads > 1 starts no
+  // pool (nothing to overlap) and must still be exact.
   gen::DidacticConfig cfg;
   cfg.tokens = 30;
   const auto d = model::share(gen::make_didactic(cfg));
@@ -331,7 +303,7 @@ TEST(ParallelDrainTest, SingleGroupFallsBackToSerialDrain) {
   parts.emplace_back("i2", d);
   const Scenario homo = study::compose("homo3", parts);
   ASSERT_EQ(homo.batch_groups().size(), 1u);
-  expect_parallel_drain_matches_serial(homo, 8);
+  expect_batched_matches_baseline(homo, "homo3", {1, 8});
 }
 
 // ------------------------------------------------- both levers stacked
