@@ -44,15 +44,6 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-model::TokenAttrs parse_attrs(const JsonValue& v) {
-  model::TokenAttrs a;
-  a.size = v.at("size").as_int64();
-  const JsonValue& params = v.at("params");
-  for (std::size_t i = 0; i < a.params.size(); ++i)
-    a.params[i] = params[i].as_double();
-  return a;
-}
-
 /// Serves stream-typed sources from the full token tables of a tokens
 /// document — the one-shot stand-in for incremental feeding.
 class TableFactory final : public serve::StreamSourceFactory {
@@ -65,7 +56,7 @@ class TableFactory final : public serve::StreamSourceFactory {
         t.earliest_ps.push_back(tok.at("earliest_ps").as_int64());
         const JsonValue* attrs = tok.find("attrs");
         t.attrs.push_back(attrs != nullptr && !attrs->is_null()
-                              ? parse_attrs(*attrs)
+                              ? serve::token_attrs_from_json(*attrs, "tokens")
                               : model::TokenAttrs{});
       }
     }

@@ -56,7 +56,11 @@ class Server:
 
     def close(self):
         self.proc.stdin.close()
-        self.proc.wait(timeout=30)
+        # A sanitizer build reports leaks (and other late findings) through
+        # the exit status.
+        rc = self.proc.wait(timeout=30)
+        if rc != 0:
+            fail(f"server exited with status {rc}")
 
 
 def accumulate(state, delta):

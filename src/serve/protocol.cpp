@@ -12,7 +12,7 @@ namespace {
 std::string error_response(const std::string& what) {
   JsonWriter w;
   w.begin_object().field("ok", false).field("error", what).end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 const std::string& session_name(const JsonValue& req) {
@@ -20,18 +20,6 @@ const std::string& session_name(const JsonValue& req) {
   if (s == nullptr || !s->is_string())
     throw SessionError("protocol: request needs a string 'session'");
   return s->as_string();
-}
-
-model::TokenAttrs parse_token_attrs(const JsonValue& v) {
-  model::TokenAttrs a;
-  a.size = v.at("size").as_int64();
-  const JsonValue& params = v.at("params");
-  if (!params.is_array() || params.size() != a.params.size())
-    throw SessionError("protocol: token attrs params must be an array of " +
-                       std::to_string(a.params.size()));
-  for (std::size_t i = 0; i < a.params.size(); ++i)
-    a.params[i] = params[i].as_double();
-  return a;
 }
 
 std::vector<Session::FedToken> parse_tokens(const JsonValue& req) {
@@ -44,12 +32,13 @@ std::vector<Session::FedToken> parse_tokens(const JsonValue& req) {
     Session::FedToken tok;
     tok.earliest_ps = t.at("earliest_ps").as_int64();
     if (const JsonValue* attrs = t.find("attrs"); attrs && !attrs->is_null())
-      tok.attrs = parse_token_attrs(*attrs);
+      tok.attrs = token_attrs_from_json(*attrs, "feed");
     tokens.push_back(std::move(tok));
   }
   return tokens;
 }
 
+/// The poll reply body, streamed straight from the delta's trace columns.
 void write_delta(JsonWriter& w, const Session::Delta& d) {
   w.field("ok", true);
   w.field("ran", d.ran);
@@ -58,33 +47,40 @@ void write_delta(JsonWriter& w, const Session::Delta& d) {
   w.field("stop", sim::to_string(d.stop));
   w.field("now_ps", d.now_ps);
   if (!d.stall_report.empty()) w.field("stall_report", d.stall_report);
+  const auto column = [&w](const char* key, std::uint64_t lo,
+                           std::uint64_t hi, const auto& value_at) {
+    w.key(key).begin_array();
+    for (std::uint64_t i = lo; i < hi; ++i) w.value(value_at(i));
+    w.end_array();
+  };
   w.key("instants").begin_array();
   for (const Session::SeriesDelta& s : d.instants) {
+    const std::vector<TimePoint>& instants = s.series->values();
     w.begin_object();
-    w.field("series", s.series);
+    w.field("series", s.series->name());
     w.field("start_k", s.start_k);
-    w.key("instants_ps").begin_array();
-    for (const std::int64_t t : s.instants_ps) w.value(t);
-    w.end_array().end_object();
+    column("instants_ps", s.start_k, s.end_k,
+           [&](std::uint64_t k) { return instants[k].count(); });
+    w.end_object();
   }
   w.end_array();
   w.key("usage").begin_array();
   for (const Session::UsageDelta& u : d.usage) {
+    const trace::UsageTrace& t = *u.trace;
     w.begin_object();
-    w.field("resource", u.resource);
+    w.field("resource", t.resource());
     w.field("start_index", u.start_index);
-    w.key("starts_ps").begin_array();
-    for (const std::int64_t t : u.starts_ps) w.value(t);
-    w.end_array();
-    w.key("ends_ps").begin_array();
-    for (const std::int64_t t : u.ends_ps) w.value(t);
-    w.end_array();
-    w.key("ops").begin_array();
-    for (const std::int64_t n : u.ops) w.value(n);
-    w.end_array();
-    w.key("labels").begin_array();
-    for (const std::string& l : u.labels) w.value(l);
-    w.end_array().end_object();
+    column("starts_ps", u.start_index, u.end_index,
+           [&](std::uint64_t i) { return t.starts()[i].count(); });
+    column("ends_ps", u.start_index, u.end_index,
+           [&](std::uint64_t i) { return t.ends()[i].count(); });
+    column("ops", u.start_index, u.end_index,
+           [&](std::uint64_t i) { return t.ops()[i]; });
+    column("labels", u.start_index, u.end_index,
+           [&](std::uint64_t i) -> const std::string& {
+             return t.label(t.label_ids()[i]);
+           });
+    w.end_object();
   }
   w.end_array();
 }
@@ -120,7 +116,7 @@ std::string Server::handle(std::string_view line) {
           .field("size", static_cast<std::uint64_t>(s.size))
           .end_object()
           .end_object();
-      return w.str();
+      return std::move(w).str();
     }
 
     const std::string& name = session_name(req);
@@ -138,12 +134,13 @@ std::string Server::handle(std::string_view line) {
 
       std::unique_ptr<Session> session;
       if (verb == "submit") {
-        std::string scenario;
+        // A scenario object is read from the request tree already parsed;
+        // scenario_json text is parsed by the session.
         if (const JsonValue* obj = req.find("scenario"); obj != nullptr)
-          scenario = json_dump(*obj);
+          session = std::make_unique<Session>(*obj, sopts);
         else
-          scenario = req.at("scenario_json").as_string();
-        session = std::make_unique<Session>(std::move(scenario), sopts);
+          session = std::make_unique<Session>(
+              req.at("scenario_json").as_string(), sopts);
       } else {
         session = Session::restore(req.at("checkpoint").as_string(), sopts);
       }
@@ -163,7 +160,7 @@ std::string Server::handle(std::string_view line) {
       }
       w.end_array().end_object();
       sessions_.emplace(name, std::move(session));
-      return w.str();
+      return std::move(w).str();
     }
 
     const auto it = sessions_.find(name);
@@ -182,7 +179,7 @@ std::string Server::handle(std::string_view line) {
           .field("source", static_cast<std::uint64_t>(source))
           .field("fed", session.fed(source))
           .end_object();
-      return w.str();
+      return std::move(w).str();
     }
     if (verb == "poll") {
       const Session::Delta d = session.poll();
@@ -190,19 +187,19 @@ std::string Server::handle(std::string_view line) {
       w.begin_object();
       write_delta(w, d);
       w.end_object();
-      return w.str();
+      return std::move(w).str();
     }
     if (verb == "checkpoint") {
       const std::string doc = session.checkpoint();
       JsonWriter w;
       w.begin_object().field("ok", true).field("checkpoint", doc).end_object();
-      return w.str();
+      return std::move(w).str();
     }
     if (verb == "close") {
       sessions_.erase(it);
       JsonWriter w;
       w.begin_object().field("ok", true).field("closed", name).end_object();
-      return w.str();
+      return std::move(w).str();
     }
     throw SessionError("protocol: unknown cmd '" + verb + "'");
   } catch (const std::exception& e) {

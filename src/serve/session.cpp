@@ -18,8 +18,16 @@ Session::Session(std::string scenario_json)
 
 Session::Session(std::string scenario_json, Options opts)
     : scenario_json_(std::move(scenario_json)), opts_(opts) {
-  model::ArchitectureDesc desc = desc_from_json(scenario_json_, this);
-  desc_ = model::share(std::move(desc));
+  build(json_parse(scenario_json_));
+}
+
+Session::Session(const JsonValue& scenario, Options opts)
+    : scenario_json_(json_dump(scenario)), opts_(opts) {
+  build(scenario);
+}
+
+void Session::build(const JsonValue& doc) {
+  desc_ = model::share(desc_from_json(doc, this));
 
   core::EquivalentModel::Options mopts;
   mopts.expected_iterations = opts_.expected_iterations;
@@ -153,29 +161,14 @@ void Session::collect_deltas(Delta& d) {
   for (const auto& [name, series] : model_->instants().all()) {
     std::size_t& cursor = instant_cursors_[name];
     if (series.size() <= cursor) continue;
-    SeriesDelta sd;
-    sd.series = name;
-    sd.start_k = cursor;
-    sd.instants_ps.reserve(series.size() - cursor);
-    for (std::size_t k = cursor; k < series.size(); ++k)
-      sd.instants_ps.push_back(series.at(k).count());
+    d.instants.push_back({&series, cursor, series.size()});
     cursor = series.size();
-    d.instants.push_back(std::move(sd));
   }
   for (const auto& [name, trace] : model_->usage().all()) {
     std::size_t& cursor = usage_cursors_[name];
     if (trace.size() <= cursor) continue;
-    UsageDelta ud;
-    ud.resource = name;
-    ud.start_index = cursor;
-    for (std::size_t i = cursor; i < trace.size(); ++i) {
-      ud.starts_ps.push_back(trace.starts()[i].count());
-      ud.ends_ps.push_back(trace.ends()[i].count());
-      ud.ops.push_back(trace.ops()[i]);
-      ud.labels.push_back(trace.label(trace.label_ids()[i]));
-    }
+    d.usage.push_back({&trace, cursor, trace.size()});
     cursor = trace.size();
-    d.usage.push_back(std::move(ud));
   }
 }
 
@@ -231,7 +224,7 @@ std::string Session::checkpoint() const {
   w.field("now_ps", model_->end_time().count());
   w.field("events_dispatched", dispatched(model_->kernel_stats()));
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json) {
@@ -240,12 +233,18 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json) {
 
 std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
                                           Options opts) {
-  JsonValue doc;
   try {
-    doc = json_parse(checkpoint_json);
+    return replay_checkpoint(checkpoint_json, opts);
+  } catch (const SessionError&) {
+    throw;
   } catch (const Error& e) {
     throw SessionError(std::string("restore: ") + e.what());
   }
+}
+
+std::unique_ptr<Session> Session::replay_checkpoint(
+    std::string_view checkpoint_json, Options opts) {
+  const JsonValue doc = json_parse(checkpoint_json);
   if (!doc.is_object() || doc.find("maxev_checkpoint") == nullptr)
     throw SessionError("restore: not a maxev_checkpoint document");
   if (!doc.at("maxev_checkpoint").is_int64() ||
@@ -255,22 +254,15 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
   auto session = std::make_unique<Session>(
       doc.at("scenario_json").as_string(), opts);
 
-  const JsonValue& streams = doc.at("streams");
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    const JsonValue& s = streams[i];
-    const JsonValue& earliest = s.at("earliest_ps");
-    const JsonValue& attrs = s.at("attrs");
+  for (const JsonValue& s : doc.at("streams").items()) {
+    const std::vector<JsonValue>& earliest = s.at("earliest_ps").items();
+    const std::vector<JsonValue>& attrs = s.at("attrs").items();
     if (earliest.size() != attrs.size())
       throw SessionError("restore: stream token arrays disagree in length");
     std::vector<FedToken> tokens(earliest.size());
     for (std::size_t k = 0; k < earliest.size(); ++k) {
       tokens[k].earliest_ps = earliest[k].as_int64();
-      const JsonValue& a = attrs[k];
-      tokens[k].attrs.size = a.at("size").as_int64();
-      const JsonValue& params = a.at("params");
-      for (std::size_t p = 0;
-           p < tokens[k].attrs.params.size() && p < params.size(); ++p)
-        tokens[k].attrs.params[p] = params[p].as_double();
+      tokens[k].attrs = token_attrs_from_json(attrs[k], "checkpoint");
     }
     session->feed(static_cast<std::size_t>(s.at("source").as_uint64()),
                   tokens);
@@ -303,19 +295,29 @@ std::unique_ptr<Session> Session::restore(std::string_view checkpoint_json,
         std::to_string(dispatched(session->model_->kernel_stats())) + " vs " +
         std::to_string(events) + " events)");
 
-  const auto load_cursors = [&doc](const char* key,
-                                   std::map<std::string, std::size_t>& out) {
-    for (const auto& [name, v] : doc.at(key).members())
-      out[name] = static_cast<std::size_t>(v.as_uint64());
+  // A cursor names a trace the replay recorded and stops inside it: poll
+  // only ever set cursors on existing traces, and the replay re-records
+  // everything that was there when the checkpoint was taken. Anything
+  // else would silently stop deltas of that trace for good.
+  const auto load_cursors = [&doc](const char* key, const char* what,
+                                   std::map<std::string, std::size_t>& out,
+                                   const auto& traces) {
+    for (const auto& [name, v] : doc.at(key).members()) {
+      const auto* trace = traces.find(name);
+      const std::size_t cursor = static_cast<std::size_t>(v.as_uint64());
+      if (trace == nullptr)
+        throw SessionError("restore: " + std::string(what) + " cursor of '" +
+                           name + "' names no trace of the model");
+      if (trace->size() < cursor)
+        throw SessionError("restore: " + std::string(what) + " cursor of '" +
+                           name + "' is past the replayed trace");
+      out[name] = cursor;
+    }
   };
-  load_cursors("instant_cursors", session->instant_cursors_);
-  load_cursors("usage_cursors", session->usage_cursors_);
-  for (const auto& [name, cursor] : session->instant_cursors_) {
-    const trace::InstantSeries* s = session->model_->instants().find(name);
-    if ((s == nullptr ? 0 : s->size()) < cursor)
-      throw SessionError("restore: instant cursor of '" + name +
-                         "' is past the replayed trace");
-  }
+  load_cursors("instant_cursors", "instant", session->instant_cursors_,
+               session->model_->instants());
+  load_cursors("usage_cursors", "usage", session->usage_cursors_,
+               session->model_->usage());
   return session;
 }
 

@@ -12,6 +12,9 @@
 #include "model/token.hpp"
 #include "serve/wire.hpp"
 #include "sim/kernel.hpp"
+#include "trace/instants.hpp"
+#include "trace/usage.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 /// \file session.hpp
@@ -25,8 +28,9 @@
 /// watermark* — the largest horizon at which no behavioural function of an
 /// unfed token can be evaluated — using the kernel's pinned horizon-resume
 /// primitive, so the concatenation of incremental advances is bit-identical
-/// to a single uninterrupted run over the same tokens. poll() then streams
-/// the instants and busy intervals recorded since the previous poll.
+/// to a single uninterrupted run over the same tokens. poll() then hands
+/// back the instants and busy intervals recorded since the previous poll
+/// as cursor ranges over the model's own trace columns — no copy.
 ///
 /// checkpoint() serializes the session as a deterministic-replay document:
 /// the original scenario text, every fed token, and the horizon advanced
@@ -65,6 +69,10 @@ class Session final : private StreamSourceFactory {
   /// The text is retained verbatim for checkpoints.
   explicit Session(std::string scenario_json);
   Session(std::string scenario_json, Options opts);
+  /// Build a session from an already parsed scenario document (a submit
+  /// request's `scenario` object): the description is read from the tree,
+  /// and its json_dump() text is what checkpoints carry.
+  Session(const JsonValue& scenario, Options opts);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -75,21 +83,23 @@ class Session final : private StreamSourceFactory {
   /// not exceed the source's declared count.
   void feed(std::size_t source, const std::vector<FedToken>& tokens);
 
-  /// Newly recorded instants of one relation since the previous poll.
+  /// Newly recorded instants of one relation since the previous poll:
+  /// rows [start_k, end_k) of the model's series, read in place. Traces
+  /// only grow, so the range stays valid (and its rows unchanged) for as
+  /// long as the session lives; later polls append past end_k.
   struct SeriesDelta {
-    std::string series;
-    std::uint64_t start_k = 0;  ///< iteration index of instants_ps[0]
-    std::vector<std::int64_t> instants_ps;
+    const trace::InstantSeries* series = nullptr;
+    std::uint64_t start_k = 0;  ///< iteration index of the first instant
+    std::uint64_t end_k = 0;
   };
 
-  /// Newly recorded busy intervals of one resource since the previous poll.
+  /// Newly recorded busy intervals of one resource since the previous
+  /// poll: rows [start_index, end_index) of the model's usage columns,
+  /// read in place, with the same lifetime as SeriesDelta.
   struct UsageDelta {
-    std::string resource;
+    const trace::UsageTrace* trace = nullptr;
     std::uint64_t start_index = 0;
-    std::vector<std::int64_t> starts_ps;
-    std::vector<std::int64_t> ends_ps;
-    std::vector<std::int64_t> ops;
-    std::vector<std::string> labels;
+    std::uint64_t end_index = 0;
   };
 
   struct Delta {
@@ -111,8 +121,8 @@ class Session final : private StreamSourceFactory {
   [[nodiscard]] std::string checkpoint() const;
 
   /// Rebuild a session from a checkpoint() document: re-feed, re-advance,
-  /// validate the replayed kernel counters. Throws SessionError on
-  /// malformed documents or replay divergence.
+  /// validate the replayed kernel counters and the trace cursors. Throws
+  /// SessionError on malformed documents or replay divergence.
   [[nodiscard]] static std::unique_ptr<Session> restore(
       std::string_view checkpoint_json);
   [[nodiscard]] static std::unique_ptr<Session> restore(
@@ -141,6 +151,11 @@ class Session final : private StreamSourceFactory {
 
   Fns make_stream_source(std::size_t source_index, const std::string& name,
                          std::uint64_t count) override;
+  /// Bind the streams, build the description and the model from \p doc.
+  void build(const JsonValue& doc);
+  /// restore() minus the error translation: any maxev::Error escapes.
+  static std::unique_ptr<Session> replay_checkpoint(
+      std::string_view checkpoint_json, Options opts);
 
   /// nullopt = blocked; otherwise the horizon to run to (nullopt inside
   /// the optional pair is expressed via `unbounded`).

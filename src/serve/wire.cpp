@@ -128,12 +128,12 @@ void write_attrs_spec(
 
 // ------------------------------------------------------- spec readers ----
 
-[[noreturn]] void wire_fail(const std::string& where, const std::string& what) {
-  throw WireError("wire: " + where + ": " + what);
+[[noreturn]] void wire_fail(std::string_view where, const std::string& what) {
+  throw WireError("wire: " + std::string(where) + ": " + what);
 }
 
 const JsonValue& member(const JsonValue& obj, const std::string& key,
-                        const std::string& where) {
+                        std::string_view where) {
   const JsonValue* v = obj.is_object() ? obj.find(key) : nullptr;
   if (v == nullptr) wire_fail(where, "missing member '" + key + "'");
   return *v;
@@ -198,32 +198,19 @@ std::function<Duration(std::uint64_t)> read_duration_spec(
   wire_fail(where, "unknown duration spec type '" + type + "'");
 }
 
-model::TokenAttrs read_token_attrs(const JsonValue& v,
-                                   const std::string& where) {
-  model::TokenAttrs a;
-  a.size = member(v, "size", where).as_int64();
-  const JsonValue& params = member(v, "params", where);
-  if (!params.is_array() || params.size() != a.params.size())
-    wire_fail(where, "attrs params must be an array of " +
-                         std::to_string(a.params.size()));
-  for (std::size_t i = 0; i < a.params.size(); ++i)
-    a.params[i] = params[i].as_double();
-  return a;
-}
-
 std::function<model::TokenAttrs(std::uint64_t)> read_attrs_spec(
     const JsonValue& spec, const std::string& where) {
   const std::string type = spec_type(spec, where);
   if (type == "constant")
     return ConstantAttrsFn{
-        read_token_attrs(member(spec, "attrs", where), where)};
+        token_attrs_from_json(member(spec, "attrs", where), where)};
   if (type == "table") {
     const JsonValue& arr = member(spec, "table", where);
     if (!arr.is_array()) wire_fail(where, "attrs table must be an array");
     std::vector<model::TokenAttrs> table;
     table.reserve(arr.size());
     for (std::size_t i = 0; i < arr.size(); ++i)
-      table.push_back(read_token_attrs(arr[i], where));
+      table.push_back(token_attrs_from_json(arr[i], where));
     return TableAttrsFn{std::make_shared<const std::vector<model::TokenAttrs>>(
         std::move(table))};
   }
@@ -330,7 +317,7 @@ std::string desc_to_json(const model::ArchitectureDesc& desc) {
   w.end_array();
 
   w.end_object().end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 model::ArchitectureDesc desc_from_json(const JsonValue& doc,
@@ -470,6 +457,19 @@ bool source_is_stream(const JsonValue& doc, std::size_t s) {
   return spec_type(member(sources[s], "earliest", where), where) == "stream";
 }
 
+model::TokenAttrs token_attrs_from_json(const JsonValue& v,
+                                        std::string_view where) {
+  model::TokenAttrs a;
+  a.size = member(v, "size", where).as_int64();
+  const JsonValue& params = member(v, "params", where);
+  if (!params.is_array() || params.size() != a.params.size())
+    wire_fail(where, "attrs params must be an array of " +
+                         std::to_string(a.params.size()));
+  for (std::size_t i = 0; i < a.params.size(); ++i)
+    a.params[i] = params[i].as_double();
+  return a;
+}
+
 // --------------------------------------------------- program documents ----
 
 namespace {
@@ -589,7 +589,7 @@ std::string program_to_json(const tdg::Program& p) {
   w.end_array();
 
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 tdg::Program program_from_json(const JsonValue& doc) {

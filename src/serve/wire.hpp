@@ -111,6 +111,13 @@ class StreamSourceFactory {
 /// Whether the description's source \p s is stream-typed in \p doc (the
 /// session layer needs to know which sources it feeds).
 [[nodiscard]] bool source_is_stream(const JsonValue& doc, std::size_t s);
+
+/// Read one token's attrs, `{"size": n, "params": [p0, ...]}`, where
+/// params is an array of exactly model::TokenAttrs::params.size()
+/// numbers. The one rule for attrs specs, feed requests and checkpoints;
+/// throws WireError naming \p where.
+[[nodiscard]] model::TokenAttrs token_attrs_from_json(const JsonValue& v,
+                                                      std::string_view where);
 /// @}
 
 /// \name Program documents

@@ -1,142 +1,161 @@
 #include "util/json.hpp"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <system_error>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace maxev {
 
-namespace {
-
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
+// ----------------------------------------------------------- JsonWriter ----
+// Every key, string and number is formatted straight into out_, with no
+// temporary string. The bytes are pinned by the JsonWriterTest cases.
 
 void JsonWriter::comma() {
-  if (pending_key_) {
-    pending_key_ = false;  // value directly follows its "key":
-    return;
+  if (need_comma_ && depth_ > 0) out_ += ',';
+}
+
+void JsonWriter::put_string(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_ += '"';
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out_.append(esc, sizeof esc);
+      }
+    }
   }
-  if (first_.empty()) return;
-  if (first_.back()) {
-    first_.back() = false;
-  } else {
-    out_ += ',';
-  }
+  out_.append(s.data() + run, s.size() - run);
+  out_ += '"';
 }
 
 JsonWriter& JsonWriter::begin_object() {
   comma();
   out_ += '{';
-  first_.push_back(true);
+  ++depth_;
+  need_comma_ = false;
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
-  if (first_.empty()) throw Error("JsonWriter: end_object with no container");
-  first_.pop_back();
+  if (depth_ == 0) throw Error("JsonWriter: end_object with no container");
+  --depth_;
   out_ += '}';
+  need_comma_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
   comma();
   out_ += '[';
-  first_.push_back(true);
+  ++depth_;
+  need_comma_ = false;
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
-  if (first_.empty()) throw Error("JsonWriter: end_array with no container");
-  first_.pop_back();
+  if (depth_ == 0) throw Error("JsonWriter: end_array with no container");
+  --depth_;
   out_ += ']';
+  need_comma_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   comma();
-  out_ += escaped(k);
+  put_string(k);
   out_ += ':';
-  pending_key_ = true;  // the next value/container follows without a comma
+  need_comma_ = false;  // the next value/container follows without a comma
   return *this;
 }
 
 JsonWriter& JsonWriter::value(const std::string& v) {
   comma();
-  out_ += escaped(v);
+  put_string(v);
+  need_comma_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const char* v) { return value(std::string(v)); }
+JsonWriter& JsonWriter::value(const char* v) {
+  comma();
+  put_string(v);
+  need_comma_ = true;
+  return *this;
+}
+
+// Numbers go out with their separating comma in one append.
+template <typename Format>
+void JsonWriter::put_scalar(Format format) {
+  char buf[40];
+  char* p = buf;
+  if (need_comma_ && depth_ > 0) *p++ = ',';
+  out_.append(buf, format(p, buf + sizeof buf));
+  need_comma_ = true;
+}
 
 JsonWriter& JsonWriter::value(double v) {
-  comma();
-  if (std::isfinite(v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out_ += buf;
-  } else {
-    out_ += "null";  // JSON has no NaN/Inf
-  }
+  if (!std::isfinite(v)) return null_value();  // JSON has no NaN/Inf
+  // 17 significant digits, trailing zeros trimmed: the standard defines
+  // this overload as printf's "%.17g", so the bytes are the same.
+  put_scalar([v](char* first, char* last) {
+    return std::to_chars(first, last, v, std::chars_format::general, 17).ptr;
+  });
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
-  comma();
-  out_ += std::to_string(v);
+  put_scalar([v](char* first, char* last) {
+    return std::to_chars(first, last, v).ptr;
+  });
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
-  comma();
-  out_ += std::to_string(v);
+  put_scalar([v](char* first, char* last) {
+    return std::to_chars(first, last, v).ptr;
+  });
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
   comma();
   out_ += v ? "true" : "false";
+  need_comma_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::null_value() {
   comma();
   out_ += "null";
+  need_comma_ = true;
   return *this;
 }
 
-const std::string& JsonWriter::str() const {
-  if (!first_.empty()) throw Error("JsonWriter: unclosed container");
+const std::string& JsonWriter::str() const& {
+  if (depth_ != 0) throw Error("JsonWriter: unclosed container");
   return out_;
+}
+
+std::string JsonWriter::str() && {
+  (void)str();  // the same unclosed-container check
+  return std::move(out_);
 }
 
 void JsonWriter::write_file(const std::string& path) const {
@@ -182,32 +201,34 @@ std::uint64_t JsonValue::as_uint64() const {
 
 const std::string& JsonValue::as_string() const {
   if (!is_string()) kind_error("string", kind_);
-  return str_;
+  return std::get<std::string>(data_);
 }
 
 std::size_t JsonValue::size() const {
-  if (is_array()) return items_.size();
-  if (is_object()) return members_.size();
+  if (is_array()) return std::get<Array>(data_).size();
+  if (is_object()) return std::get<Object>(data_).size();
   return 0;
 }
 
 const JsonValue& JsonValue::operator[](std::size_t i) const {
   if (!is_array()) kind_error("array", kind_);
-  if (i >= items_.size())
+  const Array& items = std::get<Array>(data_);
+  if (i >= items.size())
     throw Error("JsonValue: array index " + std::to_string(i) +
-                " out of range (size " + std::to_string(items_.size()) + ")");
-  return items_[i];
+                " out of range (size " + std::to_string(items.size()) + ")");
+  return items[i];
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
   if (!is_array()) kind_error("array", kind_);
-  return items_;
+  return std::get<Array>(data_);
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (!is_object()) kind_error("object", kind_);
-  const auto it = members_.find(key);
-  return it == members_.end() ? nullptr : &it->second;
+  const Object& members = std::get<Object>(data_);
+  const auto it = members.find(key);
+  return it == members.end() ? nullptr : &it->second;
 }
 
 const JsonValue& JsonValue::at(const std::string& key) const {
@@ -218,7 +239,7 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 
 const std::map<std::string, JsonValue>& JsonValue::members() const {
   if (!is_object()) kind_error("object", kind_);
-  return members_;
+  return std::get<Object>(data_);
 }
 
 JsonValue JsonValue::null() { return {}; }
@@ -248,21 +269,21 @@ JsonValue JsonValue::integer(std::int64_t i) {
 JsonValue JsonValue::string(std::string s) {
   JsonValue v;
   v.kind_ = Kind::kString;
-  v.str_ = std::move(s);
+  v.data_ = std::move(s);
   return v;
 }
 
 JsonValue JsonValue::array(std::vector<JsonValue> items) {
   JsonValue v;
   v.kind_ = Kind::kArray;
-  v.items_ = std::move(items);
+  v.data_ = std::move(items);
   return v;
 }
 
 JsonValue JsonValue::object(std::map<std::string, JsonValue> members) {
   JsonValue v;
   v.kind_ = Kind::kObject;
-  v.members_ = std::move(members);
+  v.data_ = std::move(members);
   return v;
 }
 
@@ -352,9 +373,11 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      JsonValue v = parse_value(depth);
-      if (!members.emplace(std::move(key), std::move(v)).second)
-        fail("duplicate object key");
+      // Writer output lists members in key order, so the end is the
+      // usual insertion point; a duplicate leaves the size unchanged.
+      const std::size_t before = members.size();
+      members.emplace_hint(members.end(), std::move(key), parse_value(depth));
+      if (members.size() == before) fail("duplicate object key");
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -366,20 +389,27 @@ class Parser {
   JsonValue parse_array(std::size_t depth) {
     enter(depth);
     expect('[');
-    std::vector<JsonValue> items;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return JsonValue::array(std::move(items));
+      return JsonValue::array({});
     }
+    // Elements collect on the shared stack_ and move into an array of
+    // exactly their count: one allocation per array, no regrowth.
+    const std::size_t base = stack_.size();
     for (;;) {
-      items.push_back(parse_value(depth));
+      stack_.push_back(parse_value(depth));
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == ']') return JsonValue::array(std::move(items));
+      if (c == ']') break;
       if (c != ',') { --pos_; fail("expected ',' or ']'"); }
     }
+    const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+    std::vector<JsonValue> items(std::make_move_iterator(first),
+                                 std::make_move_iterator(stack_.end()));
+    stack_.erase(first, stack_.end());
+    return JsonValue::array(std::move(items));
   }
 
   std::string parse_string() {
@@ -387,15 +417,20 @@ class Parser {
     ++pos_;
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote, escape or control character
+      // in one step: most wire strings have no escapes at all.
+      std::size_t end = pos_;
+      while (end < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[end]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++end;
+      }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -407,13 +442,13 @@ class Parser {
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': out += parse_unicode_escape(); break;
+        case 'u': parse_unicode_escape(out); break;
         default: fail("invalid escape character");
       }
     }
   }
 
-  std::string parse_unicode_escape() {
+  void parse_unicode_escape(std::string& out) {
     // The writer only emits \u00xx for control characters; decode the BMP
     // generally (UTF-8) and reject surrogates, which we never produce.
     if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
@@ -427,7 +462,6 @@ class Parser {
       else fail("invalid \\u escape digit");
     }
     if (cp >= 0xD800 && cp <= 0xDFFF) fail("surrogate \\u escape unsupported");
-    std::string out;
     if (cp < 0x80) {
       out += static_cast<char>(cp);
     } else if (cp < 0x800) {
@@ -438,58 +472,52 @@ class Parser {
       out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
       out += static_cast<char>(0x80 | (cp & 0x3F));
     }
-    return out;
+  }
+
+  bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
   }
 
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      fail("invalid number");
+    if (!at_digit()) fail("invalid number");
     bool integral = true;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    while (at_digit()) ++pos_;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       integral = false;
       ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("invalid number: digit required after '.'");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!at_digit()) fail("invalid number: digit required after '.'");
+      while (at_digit()) ++pos_;
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       integral = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("invalid number: digit required in exponent");
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!at_digit()) fail("invalid number: digit required in exponent");
+      while (at_digit()) ++pos_;
     }
-    const std::string lit(text_.substr(start, pos_ - start));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(lit.c_str(), &end, 10);
-      if (errno == 0 && end == lit.c_str() + lit.size())
-        return JsonValue::integer(static_cast<std::int64_t>(v));
-      // Falls through for out-of-range integers: keep them as doubles.
+      std::int64_t v = 0;
+      if (std::from_chars(first, last, v).ec == std::errc())
+        return JsonValue::integer(v);
+      // Out-of-range integers fall through: keep them as doubles.
     }
-    errno = 0;
-    char* end = nullptr;
-    const double d = std::strtod(lit.c_str(), &end);
-    if (end != lit.c_str() + lit.size()) fail("invalid number literal");
-    return JsonValue::number(d);
+    double d = 0.0;
+    if (std::from_chars(first, last, d).ec == std::errc())
+      return JsonValue::number(d);
+    // Overflow and underflow: strtod's result (±HUGE_VAL, 0 or the
+    // nearest subnormal) is the value the wire has always carried.
+    const std::string lit(first, last);
+    return JsonValue::number(std::strtod(lit.c_str(), nullptr));
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::vector<JsonValue> stack_;  // elements of the arrays being parsed
 };
 
 }  // namespace
@@ -532,7 +560,7 @@ void dump_into(const JsonValue& v, JsonWriter& w) {
 std::string json_dump(const JsonValue& v) {
   JsonWriter w;
   dump_into(v, w);
-  return w.str();
+  return std::move(w).str();
 }
 
 std::string extract_json_flag(int& argc, char** argv) {

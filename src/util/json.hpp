@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 /// \file json.hpp
@@ -12,8 +13,12 @@
 /// recursive-descent parser (`json_parse`) producing a `JsonValue` tree for
 /// the serve wire format (serve/wire.hpp). Handles nesting, comma placement
 /// and string escaping; numbers are emitted with enough precision to
-/// round-trip doubles, and integers that fit std::int64_t exactly survive
-/// a parse round-trip without floating-point loss.
+/// round-trip doubles (17 significant digits, as printf's `%.17g`), and
+/// integers that fit std::int64_t exactly survive a parse round-trip
+/// without floating-point loss. Both sides are on the serve request path:
+/// the writer escapes and formats in place into its one output buffer, and
+/// the parser copies an escape-free string in one step and reads numbers
+/// with std::from_chars.
 
 namespace maxev {
 
@@ -25,7 +30,7 @@ class JsonWriter {
   JsonWriter& end_array();
 
   /// Object member key; must be followed by a value or container.
-  JsonWriter& key(const std::string& k);
+  JsonWriter& key(std::string_view k);
 
   JsonWriter& value(const std::string& v);
   JsonWriter& value(const char* v);
@@ -38,23 +43,30 @@ class JsonWriter {
 
   /// key() + value() in one call.
   template <typename T>
-  JsonWriter& field(const std::string& k, T&& v) {
+  JsonWriter& field(std::string_view k, T&& v) {
     key(k);
     return value(std::forward<T>(v));
   }
 
   /// The serialized document. \pre every container has been closed.
-  [[nodiscard]] const std::string& str() const;
+  [[nodiscard]] const std::string& str() const&;
+  /// The same, moved out of a writer that is done (no copy of the text).
+  [[nodiscard]] std::string str() &&;
 
   /// Write the document to a file; throws maxev::Error on I/O failure.
   void write_file(const std::string& path) const;
 
  private:
   void comma();
+  void put_string(std::string_view s);
+  /// Append a comma if one is due, then what \p format writes into a
+  /// stack buffer (`char* format(char* first, char* last)`).
+  template <typename Format>
+  void put_scalar(Format format);
 
   std::string out_;
-  std::vector<bool> first_;  // per open container: no member emitted yet
-  bool pending_key_ = false;  // a "key": was just emitted
+  std::size_t depth_ = 0;    // open containers
+  bool need_comma_ = false;  // a member/element precedes, inside a container
 };
 
 /// Extract a `--json <path>` / `--json=<path>` flag from argv, compacting
@@ -109,14 +121,17 @@ class JsonValue {
   static JsonValue object(std::map<std::string, JsonValue> members);
 
  private:
+  using Array = std::vector<JsonValue>;
+  using Object = std::map<std::string, JsonValue>;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   bool exact_int_ = false;
   double num_ = 0.0;
   std::int64_t int_ = 0;
-  std::string str_;
-  std::vector<JsonValue> items_;
-  std::map<std::string, JsonValue> members_;
+  // The one heap-backed payload of a string, array or object node
+  // (monostate otherwise), which keeps a node at 80 bytes.
+  std::variant<std::monostate, std::string, Array, Object> data_;
 };
 
 /// Nesting limit of json_parse: the deepest array/object nesting a

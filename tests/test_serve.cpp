@@ -77,6 +77,14 @@ std::vector<serve::Session::FedToken> didactic_tokens(
   return tokens;
 }
 
+/// The instants a poll delta covers, read out of the session's trace.
+std::vector<std::int64_t> instants_of(const serve::Session::SeriesDelta& sd) {
+  std::vector<std::int64_t> out;
+  for (std::uint64_t k = sd.start_k; k < sd.end_k; ++k)
+    out.push_back(sd.series->at(k).count());
+  return out;
+}
+
 /// One-shot reference run of the same didactic configuration.
 struct OneShot {
   std::unique_ptr<core::EquivalentModel> model;
@@ -321,15 +329,17 @@ TEST(SessionTest, DeltasAreCursorsOverTheFullTraces) {
   for (std::size_t k = 0; k < tokens.size(); ++k) {
     session.feed(0, {tokens[k]});
     for (const auto& sd : session.poll().instants) {
-      auto& arr = accumulated[sd.series];
-      ASSERT_EQ(sd.start_k, arr.size()) << sd.series;
-      arr.insert(arr.end(), sd.instants_ps.begin(), sd.instants_ps.end());
+      auto& arr = accumulated[sd.series->name()];
+      ASSERT_EQ(sd.start_k, arr.size()) << sd.series->name();
+      const std::vector<std::int64_t> delta = instants_of(sd);
+      arr.insert(arr.end(), delta.begin(), delta.end());
     }
   }
   for (const auto& sd : session.poll().instants) {
-    auto& arr = accumulated[sd.series];
-    ASSERT_EQ(sd.start_k, arr.size()) << sd.series;
-    arr.insert(arr.end(), sd.instants_ps.begin(), sd.instants_ps.end());
+    auto& arr = accumulated[sd.series->name()];
+    ASSERT_EQ(sd.start_k, arr.size()) << sd.series->name();
+    const std::vector<std::int64_t> delta = instants_of(sd);
+    arr.insert(arr.end(), delta.begin(), delta.end());
   }
 
   for (const auto& [name, series] : session.model().instants().all()) {
@@ -388,9 +398,10 @@ TEST(SessionTest, CheckpointRestoreContinuesBitIdentical) {
     EXPECT_EQ(da[i].now_ps, db[i].now_ps);
     ASSERT_EQ(da[i].instants.size(), db[i].instants.size());
     for (std::size_t j = 0; j < da[i].instants.size(); ++j) {
-      EXPECT_EQ(da[i].instants[j].series, db[i].instants[j].series);
+      EXPECT_EQ(da[i].instants[j].series->name(),
+                db[i].instants[j].series->name());
       EXPECT_EQ(da[i].instants[j].start_k, db[i].instants[j].start_k);
-      EXPECT_EQ(da[i].instants[j].instants_ps, db[i].instants[j].instants_ps);
+      EXPECT_EQ(instants_of(da[i].instants[j]), instants_of(db[i].instants[j]));
     }
   }
   EXPECT_TRUE(original.completed());
@@ -414,6 +425,88 @@ TEST(SessionTest, RestoreRejectsTamperedCheckpoint) {
   EXPECT_THROW(
       (void)serve::Session::restore(json_dump(JsonValue::object(members))),
       serve::SessionError);
+}
+
+/// A checkpoint of the small didactic session after 4 fed tokens and one
+/// poll, with \p edit applied to its top-level members.
+template <typename Edit>
+std::string tampered_checkpoint(Edit edit) {
+  const gen::DidacticConfig cfg = small_didactic();
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::Session session(streamified_didactic(cfg));
+  session.feed(0, {tokens.begin(), tokens.begin() + 4});
+  (void)session.poll();
+  const JsonValue doc = json_parse(session.checkpoint());
+  auto members = doc.members();
+  edit(members);
+  return json_dump(JsonValue::object(std::move(members)));
+}
+
+/// The SessionError message restore() raises on \p checkpoint ("" when
+/// it accepts the checkpoint).
+std::string restore_error(const std::string& checkpoint) {
+  try {
+    (void)serve::Session::restore(checkpoint);
+  } catch (const serve::SessionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SessionTest, RestoreChecksUsageCursors) {
+  using Members = std::map<std::string, JsonValue>;
+  // Untouched, the checkpoint restores.
+  EXPECT_EQ(restore_error(tampered_checkpoint([](Members&) {})), "");
+  // A usage cursor past the replayed trace.
+  const std::string past = restore_error(tampered_checkpoint([](Members& m) {
+    auto cursors = m.at("usage_cursors").members();
+    ASSERT_TRUE(cursors.count("P1"));
+    cursors["P1"] = JsonValue::integer(cursors.at("P1").as_int64() + 1000);
+    m["usage_cursors"] = JsonValue::object(std::move(cursors));
+  }));
+  EXPECT_NE(past.find("'P1'"), std::string::npos) << past;
+  // A usage cursor for a resource the model does not have.
+  const std::string unknown =
+      restore_error(tampered_checkpoint([](Members& m) {
+        auto cursors = m.at("usage_cursors").members();
+        cursors["P9"] = JsonValue::integer(0);
+        m["usage_cursors"] = JsonValue::object(std::move(cursors));
+      }));
+  EXPECT_NE(unknown.find("'P9'"), std::string::npos) << unknown;
+}
+
+TEST(SessionTest, RestoreReadsTokenAttrsLikeFeed) {
+  using Members = std::map<std::string, JsonValue>;
+  // Replace the params of the first fed token's attrs.
+  const auto with_params = [](JsonValue params) {
+    return tampered_checkpoint([&params](Members& m) {
+      auto stream = m.at("streams")[0].members();
+      std::vector<JsonValue> attrs = stream.at("attrs").items();
+      auto first = attrs[0].members();
+      first["params"] = params;
+      attrs[0] = JsonValue::object(std::move(first));
+      stream["attrs"] = JsonValue::array(std::move(attrs));
+      m["streams"] = JsonValue::array({JsonValue::object(std::move(stream))});
+    });
+  };
+  const std::vector<JsonValue> four(4, JsonValue::number(0.0));
+  EXPECT_EQ(restore_error(with_params(JsonValue::array(four))), "");
+  const std::vector<JsonValue> three(3, JsonValue::number(0.0));
+  EXPECT_NE(restore_error(with_params(JsonValue::array(three))), "");
+  EXPECT_NE(restore_error(with_params(JsonValue::number(0.0))), "");
+
+  // feed applies the same rule to the same two malformed attrs.
+  serve::Server server;
+  const std::string submit = R"({"cmd":"submit","session":"a","scenario":)" +
+                             streamified_didactic(small_didactic()) + "}";
+  ASSERT_TRUE(json_parse(server.handle(submit)).at("ok").as_bool());
+  for (const char* params : {"[0,0,0]", "0"}) {
+    const std::string feed =
+        R"({"cmd":"feed","session":"a","source":0,"tokens":[)"
+        R"({"earliest_ps":0,"attrs":{"size":1,"params":)" +
+        std::string(params) + "}}]}";
+    EXPECT_FALSE(json_parse(server.handle(feed)).at("ok").as_bool()) << params;
+  }
 }
 
 TEST(SessionTest, CheckpointRefusesWhileGuardStopped) {
@@ -504,6 +597,54 @@ TEST(ProtocolTest, ServesFeedPollCheckpointRestoreClose) {
   const JsonValue stats = request(R"({"cmd":"stats"})");
   EXPECT_EQ(stats.at("sessions").as_uint64(), 1u);
   EXPECT_GE(stats.at("cache").at("misses").as_uint64(), 1u);
+}
+
+TEST(ProtocolTest, PollReplyBytesArePinned) {
+  // The exact bytes of a poll reply on the didactic stream scenario: the
+  // wire format is a contract with clients, so a writer or delta change
+  // must reproduce it to the byte.
+  gen::DidacticConfig cfg = small_didactic();
+  cfg.tokens = 3;
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::Server server;
+  const std::string submit = R"({"cmd":"submit","session":"p","scenario":)" +
+                             streamified_didactic(cfg) + "}";
+  ASSERT_TRUE(json_parse(server.handle(submit)).at("ok").as_bool());
+  JsonWriter feed;
+  feed.begin_object().field("cmd", "feed").field("session", "p");
+  feed.field("source", std::uint64_t{0}).key("tokens").begin_array();
+  for (std::size_t k = 0; k < 2; ++k) {
+    feed.begin_object().field("earliest_ps", tokens[k].earliest_ps);
+    feed.key("attrs").begin_object().field("size", tokens[k].attrs.size);
+    feed.key("params").begin_array();
+    for (const double p : tokens[k].attrs.params) feed.value(p);
+    feed.end_array().end_object().end_object();
+  }
+  feed.end_array().end_object();
+  ASSERT_TRUE(json_parse(server.handle(feed.str())).at("ok").as_bool());
+  const std::string reply = server.handle(R"({"cmd":"poll","session":"p"})");
+  EXPECT_EQ(
+      reply,
+      R"({"ok":true,"ran":true,"blocked":false,"completed":false,)"
+      R"("stop":"horizon","now_ps":9999999,"instants":[)"
+      R"({"series":"M1","start_k":0,"instants_ps":[0]},)"
+      R"({"series":"M2","start_k":0,"instants_ps":[3630000]},)"
+      R"({"series":"M3","start_k":0,"instants_ps":[5495000]},)"
+      R"({"series":"M4","start_k":0,"instants_ps":[10590000]},)"
+      R"({"series":"M5","start_k":0,"instants_ps":[13820000]}],"usage":[)"
+      R"({"resource":"P1","start_index":0,)"
+      R"("starts_ps":[0,3630000,5495000],)"
+      R"("ends_ps":[3630000,5495000,10590000],"ops":[3630,1865,5095],)"
+      R"("labels":["F1.e0","F1.e1","F2.e0"]},)"
+      R"({"resource":"P2","start_index":0,)"
+      R"("starts_ps":[3630000,10590000,13820000],)"
+      R"("ends_ps":[5495000,13820000,15735000],"ops":[3730,6460,3830],)"
+      R"("labels":["F3.e0","F3.e1","F4.e0"]}]})");
+  // The next poll carries only what is new: an empty delta, same bytes
+  // apart from "ran".
+  EXPECT_EQ(server.handle(R"({"cmd":"poll","session":"p"})"),
+            R"({"ok":true,"ran":false,"blocked":false,"completed":false,)"
+            R"("stop":"horizon","now_ps":9999999,"instants":[],"usage":[]})");
 }
 
 TEST(ProtocolTest, ErrorsAreReportedInBandNeverThrown) {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <utility>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -211,6 +217,156 @@ TEST(ErrorTest, HierarchyRoots) {
   EXPECT_THROW(throw DescriptionError("x"), Error);
   EXPECT_THROW(throw OverflowError("x"), Error);
   EXPECT_THROW(throw SimulationError("x"), Error);
+}
+
+// --------------------------------------------------------------- json ----
+// The bytes JsonWriter emits are the serve wire format: these cases pin
+// them exactly (escapes, integer bounds, round-trip doubles).
+
+TEST(JsonWriterTest, EscapesEveryControlAndQuoteCharacter) {
+  JsonWriter w;
+  w.begin_object()
+      .field("k\"\\", std::string("q\" b\\ n\n r\r t\t u\x01 v\x1f end"))
+      .field("c", "char*\n")
+      .end_object();
+  EXPECT_EQ(w.str(),
+            R"({"k\"\\":"q\" b\\ n\n r\r t\t u\u0001 v\u001f end",)"
+            R"("c":"char*\n"})");
+}
+
+TEST(JsonWriterTest, IntegerBounds) {
+  JsonWriter w;
+  w.begin_array()
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::numeric_limits<std::int64_t>::max())
+      .value(std::int64_t{0})
+      .value(std::int64_t{-1})
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::uint64_t{0})
+      .end_array();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808,9223372036854775807,0,-1,"
+            "18446744073709551615,0]");
+}
+
+TEST(JsonWriterTest, DoublesRoundTripAndNonFiniteIsNull) {
+  JsonWriter w;
+  w.begin_array()
+      .value(0.1)
+      .value(-0.0)
+      .value(1e21)
+      .value(5e-324)
+      .value(DBL_MAX)
+      .value(1.5)
+      .value(100.0)
+      .value(std::numeric_limits<double>::quiet_NaN())
+      .value(-std::numeric_limits<double>::infinity())
+      .end_array();
+  EXPECT_EQ(w.str(),
+            "[0.10000000000000001,-0,1e+21,4.9406564584124654e-324,"
+            "1.7976931348623157e+308,1.5,100,null,null]");
+  const JsonValue back = json_parse(w.str());
+  EXPECT_EQ(back[0].as_double(), 0.1);
+  // "-0" is an integral literal: it reads back as the integer 0.
+  EXPECT_EQ(back[1].as_int64(), 0);
+  EXPECT_EQ(back[2].as_double(), 1e21);
+  EXPECT_EQ(back[3].as_double(), 5e-324);
+  EXPECT_EQ(back[4].as_double(), DBL_MAX);
+  EXPECT_TRUE(back[7].is_null());
+}
+
+TEST(JsonWriterTest, NestingAndCommaPlacement) {
+  JsonWriter w;
+  w.begin_object().key("a").begin_array().value(true).begin_object();
+  w.end_object().begin_array().end_array().null_value().end_array();
+  w.key("b").begin_object().field("c", false).end_object().end_object();
+  EXPECT_EQ(w.str(), R"({"a":[true,{},[],null],"b":{"c":false}})");
+  const std::string copied = w.str();
+  EXPECT_EQ(std::move(w).str(), copied);
+  JsonWriter open;
+  open.begin_array();
+  EXPECT_THROW((void)open.str(), Error);
+  EXPECT_THROW((void)std::move(open).str(), Error);
+  EXPECT_THROW(JsonWriter().end_object(), Error);
+}
+
+TEST(JsonParseTest, IntegersBeyondInt64ParseAsDoubles) {
+  const JsonValue v = json_parse(
+      "[-9223372036854775808,9223372036854775807,9223372036854775808,"
+      "-9223372036854775809,18446744073709551615]");
+  EXPECT_EQ(v[0].as_int64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(v[1].as_int64(), std::numeric_limits<std::int64_t>::max());
+  for (std::size_t i = 2; i < 5; ++i) {
+    EXPECT_TRUE(v[i].is_number()) << i;
+    EXPECT_FALSE(v[i].is_int64()) << i;
+  }
+  EXPECT_EQ(v[2].as_double(), 9223372036854775808.0);
+  EXPECT_EQ(v[3].as_double(), -9223372036854775809.0);
+  EXPECT_EQ(v[4].as_double(), 18446744073709551615.0);
+  EXPECT_EQ(json_dump(v),
+            "[-9223372036854775808,9223372036854775807,"
+            "9.2233720368547758e+18,-9.2233720368547758e+18,"
+            "1.8446744073709552e+19]");
+}
+
+TEST(JsonParseTest, NumbersKeepStrtodResults) {
+  const JsonValue v =
+      json_parse("[0.5,-0.0,1e400,-1e400,1e-400,2.5E+3,7e0,-12,0]");
+  EXPECT_EQ(v[0].as_double(), 0.5);
+  EXPECT_TRUE(std::signbit(v[1].as_double()));
+  EXPECT_FALSE(v[1].is_int64());
+  EXPECT_EQ(v[2].as_double(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v[3].as_double(), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v[4].as_double(), 0.0);
+  EXPECT_EQ(v[5].as_double(), 2500.0);
+  EXPECT_FALSE(v[6].is_int64());
+  EXPECT_EQ(v[6].as_double(), 7.0);
+  EXPECT_EQ(v[7].as_int64(), -12);
+  EXPECT_EQ(v[8].as_int64(), 0);
+}
+
+TEST(JsonParseTest, StringsDecodeEscapes) {
+  const JsonValue v = json_parse(
+      R"(["plain","q\" b\\ s\/ \b\f\n\r\t","\u0001\u001F\u0041\u00e9\u20ac",""])");
+  EXPECT_EQ(v[0].as_string(), "plain");
+  EXPECT_EQ(v[1].as_string(), "q\" b\\ s/ \b\f\n\r\t");
+  EXPECT_EQ(v[2].as_string(), "\x01\x1f" "A\xc3\xa9\xe2\x82\xac");
+  EXPECT_EQ(v[3].as_string(), "");
+  // Writer output parses back to the same string, and re-dumps the same.
+  const std::string dumped = json_dump(v);
+  EXPECT_EQ(json_dump(json_parse(dumped)), dumped);
+  EXPECT_EQ(json_parse(dumped)[1].as_string(), v[1].as_string());
+}
+
+TEST(JsonParseTest, RejectsMalformedDocuments) {
+  for (const char* bad :
+       {R"({"a":1,"a":2})", "tru", "nul", "falsey", "nulll", "[1,]", "{,}",
+        R"({"a" 1})", "-", "1.", ".5", "+1", "1e", "1e+", "--1", "[1 2]",
+        R"("abc)", R"("\x")", R"("\u12")", R"("\ud800")", "\"a\x01\"", "",
+        "   ", "[", "{\"a\":}", "1 2", "NaN", "Infinity"}) {
+    EXPECT_THROW((void)json_parse(bad), Error) << bad;
+  }
+}
+
+TEST(JsonParseTest, ObjectsAndAccessors) {
+  const JsonValue v = json_parse(
+      R"( { "b" : [ 1 , 2.5 , "x" ] , "a" : { } , "c" : null , "d":true } )");
+  ASSERT_TRUE(v.is_object());
+  EXPECT_EQ(v.size(), 4u);
+  EXPECT_EQ(v.at("b").size(), 3u);
+  EXPECT_EQ(v.at("b")[2].as_string(), "x");
+  EXPECT_TRUE(v.at("a").is_object());
+  EXPECT_EQ(v.at("a").size(), 0u);
+  EXPECT_TRUE(v.at("c").is_null());
+  EXPECT_EQ(v.at("c").size(), 0u);
+  EXPECT_TRUE(v.at("d").as_bool());
+  EXPECT_EQ(v.find("zz"), nullptr);
+  EXPECT_THROW((void)v.at("zz"), Error);
+  EXPECT_THROW((void)v.at("b").as_string(), Error);
+  EXPECT_THROW((void)v.at("b")[3], Error);
+  EXPECT_THROW((void)v.at("b")[1].as_int64(), Error);
+  EXPECT_THROW((void)json_parse("-1").as_uint64(), Error);
+  EXPECT_EQ(json_dump(v), R"({"a":{},"b":[1,2.5,"x"],"c":null,"d":true})");
 }
 
 }  // namespace
