@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "model/load.hpp"
@@ -139,6 +140,15 @@ const JsonValue& member(const JsonValue& obj, const std::string& key,
   return *v;
 }
 
+// JsonWriter writes a non-finite double as null, so accepting one (say an
+// overflowing literal such as 1e400) would let a live session and its own
+// checkpoint text disagree.
+double finite_double(const JsonValue& v, std::string_view where) {
+  const double d = v.as_double();
+  if (!std::isfinite(d)) wire_fail(where, "number out of range");
+  return d;
+}
+
 std::string spec_type(const JsonValue& spec, const std::string& where) {
   if (!spec.is_object()) wire_fail(where, "spec must be an object");
   return member(spec, "type", where).as_string();
@@ -163,7 +173,7 @@ model::LoadFn read_load_spec(const JsonValue& spec, const std::string& where) {
   if (type == "param")
     return model::param_ops(
         member(spec, "base", where).as_int64(),
-        member(spec, "scale", where).as_double(),
+        finite_double(member(spec, "scale", where), where),
         static_cast<std::size_t>(member(spec, "index", where).as_uint64()));
   if (type == "cyclic")
     return model::cyclic_ops(
@@ -339,7 +349,7 @@ model::ArchitectureDesc desc_from_json(const JsonValue& doc,
     else
       wire_fail(where, "unknown policy '" + policy + "'");
     out.add_resource(member(r, "name", where).as_string(), p,
-                     member(r, "ops_per_second", where).as_double());
+                     finite_double(member(r, "ops_per_second", where), where));
   }
 
   const JsonValue& channels = member(d, "channels", "desc");
@@ -466,7 +476,7 @@ model::TokenAttrs token_attrs_from_json(const JsonValue& v,
     wire_fail(where, "attrs params must be an array of " +
                          std::to_string(a.params.size()));
   for (std::size_t i = 0; i < a.params.size(); ++i)
-    a.params[i] = params[i].as_double();
+    a.params[i] = finite_double(params[i], where);
   return a;
 }
 
@@ -642,7 +652,7 @@ tdg::Program program_from_json(const JsonValue& doc) {
     if (!rates.is_array()) wire_fail(where("op_rate"), "expected an array");
     p.op_rate.reserve(rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i)
-      p.op_rate.push_back(rates[i].as_double());
+      p.op_rate.push_back(finite_double(rates[i], where("op_rate")));
   }
   p.op_resource = i32s("op_resource");
   {

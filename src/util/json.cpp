@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <system_error>
 #include <utility>
 
@@ -373,11 +372,9 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      // Writer output lists members in key order, so the end is the
-      // usual insertion point; a duplicate leaves the size unchanged.
-      const std::size_t before = members.size();
-      members.emplace_hint(members.end(), std::move(key), parse_value(depth));
-      if (members.size() == before) fail("duplicate object key");
+      JsonValue v = parse_value(depth);
+      if (!members.emplace(std::move(key), std::move(v)).second)
+        fail("duplicate object key");
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -389,27 +386,20 @@ class Parser {
   JsonValue parse_array(std::size_t depth) {
     enter(depth);
     expect('[');
+    std::vector<JsonValue> items;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return JsonValue::array({});
+      return JsonValue::array(std::move(items));
     }
-    // Elements collect on the shared stack_ and move into an array of
-    // exactly their count: one allocation per array, no regrowth.
-    const std::size_t base = stack_.size();
     for (;;) {
-      stack_.push_back(parse_value(depth));
+      items.push_back(parse_value(depth));
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == ']') break;
+      if (c == ']') return JsonValue::array(std::move(items));
       if (c != ',') { --pos_; fail("expected ',' or ']'"); }
     }
-    const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
-    std::vector<JsonValue> items(std::make_move_iterator(first),
-                                 std::make_move_iterator(stack_.end()));
-    stack_.erase(first, stack_.end());
-    return JsonValue::array(std::move(items));
   }
 
   std::string parse_string() {
@@ -517,7 +507,6 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  std::vector<JsonValue> stack_;  // elements of the arrays being parsed
 };
 
 }  // namespace

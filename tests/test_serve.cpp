@@ -659,6 +659,26 @@ TEST(ProtocolTest, ErrorsAreReportedInBandNeverThrown) {
   EXPECT_EQ(server.session_count(), 0u);
 }
 
+TEST(ProtocolTest, OverflowingNumberInAScenarioObjectIsRefused) {
+  // 1e400 parses to inf, which JsonWriter would write as null: a session
+  // built from it could not restore its own checkpoint, so submit refuses
+  // it in-band, as it did when the scenario object was dumped and re-read.
+  std::string scenario = streamified_didactic(small_didactic());
+  const std::string key = R"("ops_per_second":)";
+  const std::size_t at = scenario.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = scenario.find_first_of(",}", at);
+  scenario.replace(at + key.size(), end - at - key.size(), "1e400");
+  serve::Server server;
+  const JsonValue reply = json_parse(server.handle(
+      R"({"cmd":"submit","session":"o","scenario":)" + scenario + "}"));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").as_string().find("out of range"),
+            std::string::npos)
+      << reply.at("error").as_string();
+  EXPECT_EQ(server.session_count(), 0u);
+}
+
 TEST(ProtocolTest, DeepNestingIsAnInBandErrorNotACrash) {
   // One 300 KB line of '[' used to recurse the parser off the stack.
   const std::string line(300 * 1024, '[');
