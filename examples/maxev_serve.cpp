@@ -3,8 +3,9 @@
 /// serve::Session instances over a line-delimited JSON protocol on
 /// stdin/stdout — one request object per line in, one response per line
 /// out (serve/protocol.hpp documents the verbs). All sessions share one
-/// structural-hash program cache, so resubmitting an architecture skips
-/// the derive → compile pipeline.
+/// program cache keyed by the scenario text, so resubmitting or restoring
+/// a scenario skips the derive → compile pipeline. A line longer than
+/// serve::kMaxRequestBytes is read to its end and refused in-band.
 ///
 /// A second mode produces the reference the CI smoke test diffs streamed
 /// results against:
@@ -196,7 +197,7 @@ int run_emit_demo() {
 int run_server() {
   serve::Server server;
   std::string line;
-  while (std::getline(std::cin, line)) {
+  while (serve::read_request_line(std::cin, line)) {
     if (line.empty()) continue;
     std::cout << server.handle(line) << std::endl;  // flush: we are a pipe
   }

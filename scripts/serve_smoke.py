@@ -11,7 +11,8 @@ Drives the serving binary through its line-delimited JSON protocol:
      machinery) and prints the complete traces.
   3. The protocol run submits the scenario, feeds the tokens across
      several feed/poll rounds, checkpoints mid-stream, restores the
-     checkpoint into a fresh session, and finishes feeding there.
+     checkpoint into a fresh session, and finishes feeding there. The
+     restore must hit the program cache entry its submit created.
 
 The accumulated poll deltas (original session up to the checkpoint, the
 restored session after it) must reassemble, instant for instant and busy
@@ -160,6 +161,11 @@ def main():
                     "checkpoint": ckpt["checkpoint"],
                 }
             )
+            # The restore rebuilds the submitted scenario: it must reuse
+            # the program its submit compiled.
+            hits = server.request({"cmd": "stats"})["cache"]["hits"]
+            if hits < 1:
+                fail(f"restore missed the program cache (hits={hits})")
 
     # Every stream is fully fed now: a final poll runs to completion.
     delta = server.request({"cmd": "poll", "session": "smoke"})

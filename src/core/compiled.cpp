@@ -1,5 +1,7 @@
 #include "core/compiled.hpp"
 
+#include <functional>
+#include <string_view>
 #include <utility>
 
 #include "tdg/simplify.hpp"
@@ -8,17 +10,22 @@
 namespace maxev::core {
 
 CompiledKey CompiledKey::make(model::DescPtr desc, std::vector<bool> group,
-                              bool fold, std::size_t pad_nodes) {
+                              bool fold, std::size_t pad_nodes,
+                              std::shared_ptr<const std::string> scenario) {
   if (desc == nullptr) throw DescriptionError("CompiledKey: null description");
   if (group.empty()) group.assign(desc->functions().size(), true);
   group.resize(desc->functions().size(), false);
-  return CompiledKey{std::move(desc), std::move(group), fold, pad_nodes};
+  return CompiledKey{std::move(desc), std::move(group), fold, pad_nodes,
+                     std::move(scenario)};
 }
 
 std::size_t hash_value(const CompiledKey& key) {
-  // Consistent with operator== (pointer identity implies structural
-  // equality); boost-style combine.
-  std::size_t h = model::structural_hash(*key.desc);
+  // Consistent with operator== (equal texts hash alike; pointer identity
+  // implies structural equality); boost-style combine.
+  std::size_t h =
+      key.scenario != nullptr
+          ? std::hash<std::string_view>{}(*key.scenario)
+          : model::structural_hash(*key.desc);
   auto mix = [&h](std::size_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };

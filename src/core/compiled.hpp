@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "model/desc.hpp"
@@ -24,6 +25,14 @@
 /// only instances provably evaluating the same workload functions share an
 /// artifact — while model::structural_hash() serves as the hash/bucketing
 /// function (consistent: identical pointers are structurally equal).
+///
+/// The one exception is a description built from wire text
+/// (serve::desc_from_json), which is a deterministic function of that
+/// text: its key may carry the text as `scenario`, and two such keys
+/// compare the text instead of the pointer (and hash it). The stream
+/// bindings the loader takes besides the text feed only the simulated
+/// sources; derive, compile and the engines never evaluate a source's
+/// `earliest` or `attrs`, so they cannot reach a compiled program.
 
 namespace maxev::core {
 
@@ -36,22 +45,31 @@ struct CompiledKey {
   std::vector<bool> group;
   bool fold = true;
   std::size_t pad_nodes = 0;
+  /// The wire text \p desc was built from; null = pointer identity.
+  std::shared_ptr<const std::string> scenario = nullptr;
 
   /// Build a key with the group normalized against \p desc.
   /// \throws maxev::DescriptionError when desc is null.
-  [[nodiscard]] static CompiledKey make(model::DescPtr desc,
-                                        std::vector<bool> group, bool fold,
-                                        std::size_t pad_nodes);
+  [[nodiscard]] static CompiledKey make(
+      model::DescPtr desc, std::vector<bool> group, bool fold,
+      std::size_t pad_nodes,
+      std::shared_ptr<const std::string> scenario = nullptr);
 
-  /// Pointer-identity on the description (see the sharing rule above).
+  /// Scenario text when both keys carry one, else pointer identity on the
+  /// description (see the sharing rule above).
   friend bool operator==(const CompiledKey& a, const CompiledKey& b) {
-    return a.desc.get() == b.desc.get() && a.fold == b.fold &&
-           a.pad_nodes == b.pad_nodes && a.group == b.group;
+    const bool same_desc =
+        a.scenario != nullptr && b.scenario != nullptr
+            ? a.scenario == b.scenario || *a.scenario == *b.scenario
+            : a.scenario == b.scenario && a.desc.get() == b.desc.get();
+    return same_desc && a.fold == b.fold && a.pad_nodes == b.pad_nodes &&
+           a.group == b.group;
   }
 };
 
-/// Hash consistent with CompiledKey equality: structural_hash(desc)
-/// combined with the group/fold/pad fields.
+/// Hash consistent with CompiledKey equality: the scenario text's hash,
+/// or structural_hash(desc) without one, combined with the
+/// group/fold/pad fields.
 [[nodiscard]] std::size_t hash_value(const CompiledKey& key);
 
 /// The artifact: frozen graph, compiled program (including its opcode

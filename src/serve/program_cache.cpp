@@ -13,7 +13,8 @@ core::CompiledPtr ProgramCache::get(const core::CompiledKey& key_in,
                                     bool* was_hit) {
   // Canonicalize so normalized and shorthand (empty = all) groups unify.
   const core::CompiledKey key = core::CompiledKey::make(
-      key_in.desc, key_in.group, key_in.fold, key_in.pad_nodes);
+      key_in.desc, key_in.group, key_in.fold, key_in.pad_nodes,
+      key_in.scenario);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
@@ -38,7 +39,8 @@ core::CompiledPtr ProgramCache::get(const core::CompiledKey& key_in,
 
 bool ProgramCache::contains(const core::CompiledKey& key_in) const {
   const core::CompiledKey key = core::CompiledKey::make(
-      key_in.desc, key_in.group, key_in.fold, key_in.pad_nodes);
+      key_in.desc, key_in.group, key_in.fold, key_in.pad_nodes,
+      key_in.scenario);
   std::lock_guard<std::mutex> lock(mu_);
   return index_.find(key) != index_.end();
 }

@@ -15,13 +15,15 @@
 /// combination share one derive → fold → pad → freeze → Program::compile
 /// product instead of redoing it.
 ///
-/// Keying (see core/compiled.hpp): model::structural_hash() buckets the
-/// entries, but equality is model::DescPtr POINTER identity — a compiled
-/// program embeds the description's behavioural std::functions, so only
-/// provably-same-workload requests may share it. An entry pins its
-/// description alive (the key holds the DescPtr); dropping every external
-/// reference to a description therefore does NOT evict its entries — evict
-/// by capacity, or clear() between unrelated workloads.
+/// Keying (see core/compiled.hpp): equality is model::DescPtr POINTER
+/// identity — a compiled program embeds the description's behavioural
+/// std::functions, so only provably-same-workload requests may share it —
+/// or, for keys carrying the wire text their description was built from
+/// (serve::Session's), equality of that text. model::structural_hash(), or
+/// the text's hash, buckets the entries. An entry pins its key's
+/// description (and text) alive; dropping every external reference to a
+/// description therefore does NOT evict its entries — evict by capacity,
+/// or clear() between unrelated workloads.
 
 namespace maxev::serve {
 

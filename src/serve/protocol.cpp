@@ -87,6 +87,20 @@ void write_delta(JsonWriter& w, const Session::Delta& d) {
 
 }  // namespace
 
+bool read_request_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf& buf = *in.rdbuf();
+  for (;;) {
+    const int c = buf.sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      return !line.empty();
+    }
+    if (c == '\n') return true;
+    if (line.size() <= kMaxRequestBytes) line.push_back(static_cast<char>(c));
+  }
+}
+
 Server::Server() : Server(Options{}) {}
 
 Server::Server(Options opts)
@@ -96,6 +110,10 @@ Server::Server(Options opts)
 
 std::string Server::handle(std::string_view line) {
   try {
+    if (line.size() > kMaxRequestBytes)
+      throw SessionError("protocol: request exceeds the limit of " +
+                         std::to_string(kMaxRequestBytes) +
+                         " bytes (kMaxRequestBytes)");
     const JsonValue req = json_parse(line);
     const JsonValue* cmd = req.find("cmd");
     if (cmd == nullptr || !cmd->is_string())

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <istream>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +32,18 @@
 
 namespace maxev::serve {
 
+/// Size limit of one request, in bytes: the longest line Server::handle
+/// parses. It bounds what one request can make a server keep — a scenario
+/// text, which the program cache holds for up to its capacity of entries,
+/// or a restore's checkpoint (~80 bytes per fed token, so ~100k tokens).
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
+
+/// Read one line (its '\n' dropped) from \p in into \p line, keeping at
+/// most kMaxRequestBytes + 1 bytes of it: a longer line is consumed to its
+/// end, and Server::handle refuses what is kept by its size. Returns false
+/// at end of input.
+bool read_request_line(std::istream& in, std::string& line);
+
 class Server {
  public:
   struct Options {
@@ -46,7 +60,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Handle one request line; always returns a single-line JSON response
-  /// (protocol errors are reported in-band, never thrown).
+  /// (protocol errors are reported in-band, never thrown). A line longer
+  /// than kMaxRequestBytes is refused unparsed.
   [[nodiscard]] std::string handle(std::string_view line);
 
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }

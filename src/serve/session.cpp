@@ -11,27 +11,53 @@ std::uint64_t dispatched(const sim::KernelStats& s) {
   return s.resumes + s.callbacks - s.inline_resumes;
 }
 
+/// A session's view of the shared cache: every key carries the scenario
+/// text, so sessions of one scenario share its entry (core/compiled.hpp).
+class ScenarioCompiles final : public core::CompiledProvider {
+ public:
+  ScenarioCompiles(core::CompiledProvider& cache,
+                   std::shared_ptr<const std::string> text)
+      : cache_(cache), text_(std::move(text)) {}
+
+  core::CompiledPtr get(const core::CompiledKey& key,
+                        bool* was_hit) override {
+    core::CompiledKey k = key;
+    k.scenario = text_;
+    return cache_.get(k, was_hit);
+  }
+
+ private:
+  core::CompiledProvider& cache_;
+  std::shared_ptr<const std::string> text_;
+};
+
 }  // namespace
 
 Session::Session(std::string scenario_json)
     : Session(std::move(scenario_json), Options()) {}
 
 Session::Session(std::string scenario_json, Options opts)
-    : scenario_json_(std::move(scenario_json)), opts_(opts) {
-  build(json_parse(scenario_json_));
+    : scenario_json_(
+          std::make_shared<const std::string>(std::move(scenario_json))),
+      opts_(opts) {
+  build(json_parse(*scenario_json_));
 }
 
 Session::Session(const JsonValue& scenario, Options opts)
-    : scenario_json_(json_dump(scenario)), opts_(opts) {
+    : scenario_json_(std::make_shared<const std::string>(json_dump(scenario))),
+      opts_(opts) {
   build(scenario);
 }
 
 void Session::build(const JsonValue& doc) {
   desc_ = model::share(desc_from_json(doc, this));
 
+  std::optional<ScenarioCompiles> compiles;
+  if (opts_.compiled != nullptr)
+    compiles.emplace(*opts_.compiled, scenario_json_);
   core::EquivalentModel::Options mopts;
   mopts.expected_iterations = opts_.expected_iterations;
-  mopts.compiled = opts_.compiled;
+  mopts.compiled = compiles ? &*compiles : nullptr;
   model_ = std::make_unique<core::EquivalentModel>(
       desc_, std::vector<bool>{}, mopts);
   if (opts_.guards.any())
@@ -48,21 +74,28 @@ Session::Fns Session::make_stream_source(std::size_t source_index,
   stream_by_source_[source_index] = streams_.size();
   streams_.push_back(stream);
 
+  // The description holds the buffer weakly: a cached program keeps the
+  // description of the session that compiled it, and must not keep that
+  // session's fed tokens once it closes. The watermark guarantees the
+  // kernel never evaluates an unfed token; reaching the throw means the
+  // watermark computation is wrong.
+  const auto fed = [weak = std::weak_ptr<const Stream>(stream), name](
+                       std::uint64_t k, const char* what) {
+    std::shared_ptr<const Stream> s = weak.lock();
+    if (s == nullptr)
+      throw SessionError("stream source '" + name + "': " + what + " " +
+                         std::to_string(k) + " evaluated after its session " +
+                         "closed");
+    if (k >= s->earliest_ps.size())
+      throw SessionError("stream source '" + name + "': " + what + " " +
+                         std::to_string(k) + " evaluated before being fed");
+    return s;
+  };
   Fns fns;
-  // The watermark guarantees the kernel never evaluates an unfed token;
-  // reaching the throw means the watermark computation is wrong.
-  fns.earliest = [stream](std::uint64_t k) {
-    if (k >= stream->earliest_ps.size())
-      throw SessionError("stream source '" + stream->name + "': token " +
-                         std::to_string(k) + " evaluated before being fed");
-    return TimePoint::at_ps(stream->earliest_ps[k]);
+  fns.earliest = [fed](std::uint64_t k) {
+    return TimePoint::at_ps(fed(k, "token")->earliest_ps[k]);
   };
-  fns.attrs = [stream](std::uint64_t k) {
-    if (k >= stream->attrs.size())
-      throw SessionError("stream source '" + stream->name + "': attrs of " +
-                         std::to_string(k) + " evaluated before being fed");
-    return stream->attrs[k];
-  };
+  fns.attrs = [fed](std::uint64_t k) { return fed(k, "attrs of")->attrs[k]; };
   return fns;
 }
 
@@ -190,7 +223,7 @@ std::string Session::checkpoint() const {
         "the guard before checkpointing");
   JsonWriter w;
   w.begin_object().field("maxev_checkpoint", kWireVersion);
-  w.field("scenario_json", scenario_json_);
+  w.field("scenario_json", *scenario_json_);
   w.key("streams").begin_array();
   for (const auto& stream : streams_) {
     w.begin_object();

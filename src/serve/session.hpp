@@ -32,6 +32,14 @@
 /// back the instants and busy intervals recorded since the previous poll
 /// as cursor ranges over the model's own trace columns — no copy.
 ///
+/// Sessions built from one scenario text share one program-cache entry:
+/// their compile keys carry that text (core/compiled.hpp), so a warm
+/// submit, and a restore of a checkpoint whose scenario a live or earlier
+/// session already compiled, skip derive → compile. The entry keeps the
+/// description of the session that compiled it, whose stream sources
+/// hold their buffers weakly: closing a session frees its fed tokens even
+/// while its scenario stays cached.
+///
 /// checkpoint() serializes the session as a deterministic-replay document:
 /// the original scenario text, every fed token, and the horizon advanced
 /// to. restore() rebuilds the model from scratch, re-feeds, re-advances,
@@ -55,7 +63,8 @@ class Session final : private StreamSourceFactory {
     sim::RunGuards guards;
     /// Observation-sink capacity hint (see core::EquivalentModel).
     std::size_t expected_iterations = 0;
-    /// Shared program cache; null = compile privately.
+    /// Shared program cache (requests carry the scenario text as their
+    /// key); null = compile privately.
     core::CompiledProvider* compiled = nullptr;
   };
 
@@ -139,8 +148,8 @@ class Session final : private StreamSourceFactory {
   /// @}
 
  private:
-  /// Feedable token buffer of one stream source. The functors handed to
-  /// the description share ownership, so the buffer outlives the model.
+  /// Feedable token buffer of one stream source, owned by the session;
+  /// the functors handed to the description hold it weakly.
   struct Stream {
     std::size_t source_index = 0;
     std::string name;
@@ -171,7 +180,7 @@ class Session final : private StreamSourceFactory {
   void advance(const Watermark& w, Delta& d);
   void collect_deltas(Delta& d);
 
-  std::string scenario_json_;
+  std::shared_ptr<const std::string> scenario_json_;  ///< the cache key text
   Options opts_;
   std::vector<std::shared_ptr<Stream>> streams_;  // in factory-call order
   std::map<std::size_t, std::size_t> stream_by_source_;

@@ -48,8 +48,8 @@ class RecordingProvider final : public core::CompiledProvider {
 
   core::CompiledPtr get(const core::CompiledKey& key,
                         bool* was_hit) override {
-    keys_.push_back(
-        core::CompiledKey::make(key.desc, key.group, key.fold, key.pad_nodes));
+    keys_.push_back(core::CompiledKey::make(key.desc, key.group, key.fold,
+                                            key.pad_nodes, key.scenario));
     return inner_->get(key, was_hit);
   }
 

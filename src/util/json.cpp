@@ -184,7 +184,7 @@ bool JsonValue::as_bool() const {
 
 double JsonValue::as_double() const {
   if (!is_number()) kind_error("number", kind_);
-  return exact_int_ ? static_cast<double>(int_) : num_;
+  return num_;
 }
 
 std::int64_t JsonValue::as_int64() const {
@@ -262,6 +262,13 @@ JsonValue JsonValue::integer(std::int64_t i) {
   v.kind_ = Kind::kNumber;
   v.exact_int_ = true;
   v.int_ = i;
+  v.num_ = static_cast<double>(i);
+  return v;
+}
+
+JsonValue JsonValue::negative_zero() {
+  JsonValue v = integer(0);
+  v.num_ = -0.0;
   return v;
 }
 
@@ -493,7 +500,8 @@ class Parser {
     if (integral) {
       std::int64_t v = 0;
       if (std::from_chars(first, last, v).ec == std::errc())
-        return JsonValue::integer(v);
+        return v == 0 && *first == '-' ? JsonValue::negative_zero()
+                                       : JsonValue::integer(v);
       // Out-of-range integers fall through: keep them as doubles.
     }
     double d = 0.0;
@@ -522,7 +530,8 @@ void dump_into(const JsonValue& v, JsonWriter& w) {
     case JsonValue::Kind::kNull: w.null_value(); break;
     case JsonValue::Kind::kBool: w.value(v.as_bool()); break;
     case JsonValue::Kind::kNumber:
-      if (v.is_int64())
+      // `-0` is written as the double it reads as, keeping its sign.
+      if (v.is_int64() && !(v.as_int64() == 0 && std::signbit(v.as_double())))
         w.value(v.as_int64());
       else
         w.value(v.as_double());

@@ -77,6 +77,8 @@ class JsonWriter {
 /// Parsed JSON document node. Objects keep their members in an ordered map
 /// (deterministic iteration); numbers remember whether the source literal
 /// was an exact std::int64_t so picosecond timestamps survive untouched.
+/// The literal `-0` is the integer 0 whose as_double() is -0.0, so the
+/// sign of a negative-zero double survives JsonWriter → json_parse.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -116,6 +118,7 @@ class JsonValue {
   static JsonValue boolean(bool b);
   static JsonValue number(double d);
   static JsonValue integer(std::int64_t i);
+  static JsonValue negative_zero();  ///< the literal `-0`
   static JsonValue string(std::string s);
   static JsonValue array(std::vector<JsonValue> items);
   static JsonValue object(std::map<std::string, JsonValue> members);
@@ -127,7 +130,7 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   bool exact_int_ = false;
-  double num_ = 0.0;
+  double num_ = 0.0;  // also set for integers: as_double() reads it
   std::int64_t int_ = 0;
   // The one heap-backed payload of a string, array or object node
   // (monostate otherwise), which keeps a node at 80 bytes.

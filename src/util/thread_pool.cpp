@@ -129,8 +129,14 @@ void ThreadPool::parallel_for(std::size_t n,
     });
   }
 
-  for (std::size_t i = 0; i < n; ++i)
-    if (batch->errors[i]) std::rethrow_exception(batch->errors[i]);
+  // Take the exceptions out of the batch before rethrowing. A late helper
+  // may still hold the batch and drop its last reference on a worker;
+  // the exception_ptrs must not be released there while this thread
+  // handles the rethrown exception (their count lives in the runtime,
+  // where no race detector sees it synchronize).
+  const std::vector<std::exception_ptr> errors = std::move(batch->errors);
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 std::size_t ThreadPool::resolve(int threads) {

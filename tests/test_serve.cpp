@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -528,10 +530,142 @@ TEST(SessionTest, SessionsShareACompileCache) {
   serve::Session a(scenario, opts);
   serve::Session b(scenario, opts);
   const auto stats = cache.stats();
-  // Two sessions parse the same text into distinct descriptions: pointer
-  // identity keeps them separate entries (the behavioural-sharing rule).
+  // Two sessions parse the same text into distinct descriptions; a
+  // description built from wire text is a function of that text, so the
+  // keys compare the text and the second session reuses the first's
+  // compile.
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(&a.model().compiled(), &b.model().compiled());
+}
+
+TEST(SessionTest, ScenariosDifferingInOneOpRateNeverShareAnEntry) {
+  const std::string scenario = streamified_didactic(small_didactic());
+  std::string faster = scenario;
+  const std::string key = R"("ops_per_second":)";
+  const std::size_t at = faster.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = faster.find_first_of(",}", at);
+  faster.replace(at + key.size(), end - at - key.size(), "2000000000");
+  ASSERT_NE(faster, scenario);
+
+  serve::ProgramCache cache(4);
+  serve::Session::Options opts;
+  opts.compiled = &cache;
+  serve::Session a(scenario, opts);
+  serve::Session b(faster, opts);
+  const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.size, 2u);
+  EXPECT_NE(&a.model().compiled(), &b.model().compiled());
+  EXPECT_NE(a.desc().resources().front().ops_per_second,
+            b.desc().resources().front().ops_per_second);
+}
+
+TEST(SessionTest, RestoreHitsItsSubmitsEntryAndStaysBitIdentical) {
+  const gen::DidacticConfig cfg = small_didactic();
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::ProgramCache cache(4);
+  serve::Session::Options opts;
+  opts.compiled = &cache;
+
+  serve::Session original(streamified_didactic(cfg), opts);
+  original.feed(0, {tokens.begin(), tokens.begin() + 4});
+  (void)original.poll();
+  std::unique_ptr<serve::Session> restored =
+      serve::Session::restore(original.checkpoint(), opts);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.size, 1u);
+
+  for (serve::Session* s : {&original, restored.get()}) {
+    s->feed(0, {tokens.begin() + 4, tokens.end()});
+    EXPECT_TRUE(s->poll().completed);
+  }
+  const OneShot ref(cfg);
+  expect_matches_one_shot(original, ref);
+  expect_matches_one_shot(*restored, ref);
+}
+
+TEST(SessionTest, ClosedSessionsFedTokensAreNotReachableFromTheCache) {
+  const gen::DidacticConfig cfg = small_didactic();
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  serve::ProgramCache cache(4);
+  serve::Session::Options opts;
+  opts.compiled = &cache;
+
+  // The entry keeps the description of the session that compiled it;
+  // that description's stream source must not keep the session's fed
+  // tokens once the session closes.
+  const core::CompiledAbstraction* entry = nullptr;
+  {
+    serve::Session session(streamified_didactic(cfg), opts);
+    session.feed(0, tokens);
+    EXPECT_TRUE(session.poll().completed);
+    entry = &session.model().compiled();
+    ASSERT_EQ(entry->key.desc.get(), &session.desc());
+    EXPECT_EQ(entry->key.desc->sources().front().earliest(0).count(),
+              tokens[0].earliest_ps);
+  }
+  ASSERT_EQ(cache.stats().size, 1u);  // the entry outlives the session
+  const model::SourceDesc& source = entry->key.desc->sources().front();
+  EXPECT_THROW((void)source.earliest(0), serve::SessionError);
+  EXPECT_THROW((void)source.attrs(0), serve::SessionError);
+
+  // The entry still serves the next session of the scenario.
+  serve::Session next(streamified_didactic(cfg), opts);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  next.feed(0, tokens);
+  EXPECT_TRUE(next.poll().completed);
+  expect_matches_one_shot(next, OneShot(cfg));
+}
+
+TEST(SessionTest, CacheHitAndPrivateCompileGiveIdenticalTraces) {
+  const gen::DidacticConfig cfg = small_didactic();
+  const std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  const std::string scenario = streamified_didactic(cfg);
+  serve::ProgramCache cache(4);
+  serve::Session::Options shared;
+  shared.compiled = &cache;
+
+  serve::Session first(scenario, shared);
+  serve::Session hit(scenario, shared);
+  serve::Session own(scenario);
+  ASSERT_EQ(cache.stats().hits, 1u);
+  for (serve::Session* s : {&hit, &own}) {
+    for (std::size_t k = 0; k < tokens.size(); k += 2) {
+      s->feed(0, {tokens.begin() + k,
+                  tokens.begin() + std::min(k + 2, tokens.size())});
+      (void)s->poll();
+    }
+    EXPECT_TRUE(s->poll().completed);
+  }
+  const auto instant_diff =
+      trace::compare_instants(own.model().instants(), hit.model().instants());
+  EXPECT_FALSE(instant_diff.has_value()) << *instant_diff;
+  const auto usage_diff =
+      trace::compare_usage(own.model().usage(), hit.model().usage());
+  EXPECT_FALSE(usage_diff.has_value()) << *usage_diff;
+  EXPECT_EQ(own.model().end_time().count(), hit.model().end_time().count());
+  EXPECT_EQ(own.checkpoint(), hit.checkpoint());
+}
+
+TEST(SessionTest, NegativeZeroParamSurvivesCheckpointRestore) {
+  const gen::DidacticConfig cfg = small_didactic();
+  std::vector<serve::Session::FedToken> tokens = didactic_tokens(cfg);
+  tokens.resize(3);
+  tokens[1].attrs.params[0] = -0.0;
+  serve::Session original(streamified_didactic(cfg));
+  original.feed(0, tokens);
+  (void)original.poll();
+  const std::string ckpt = original.checkpoint();
+  ASSERT_NE(ckpt.find("-0"), std::string::npos);
+  // The restored session re-feeds the parsed tokens and checkpoints them
+  // again: a param read back as +0 would be written as "0".
+  EXPECT_EQ(serve::Session::restore(ckpt)->checkpoint(), ckpt);
 }
 
 // ----------------------------------------------------------- protocol ----
@@ -692,6 +826,46 @@ TEST(ProtocolTest, DeepNestingIsAnInBandErrorNotACrash) {
   EXPECT_NE(error.find("at offset 256"), std::string::npos) << error;
   // The server is still usable afterwards.
   EXPECT_TRUE(json_parse(server.handle(R"({"cmd":"stats"})")).at("ok").as_bool());
+}
+
+TEST(ProtocolTest, OversizedRequestIsRefusedNamingTheLimit) {
+  serve::Server server;
+  // A valid request padded to exactly the limit is served.
+  std::string at_limit = R"({"cmd":"stats"})";
+  at_limit.resize(serve::kMaxRequestBytes, ' ');
+  EXPECT_TRUE(json_parse(server.handle(at_limit)).at("ok").as_bool());
+  // One byte more is refused unparsed, naming the limit.
+  at_limit.push_back(' ');
+  const JsonValue reply = json_parse(server.handle(at_limit));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  const std::string& error = reply.at("error").as_string();
+  EXPECT_NE(error.find("exceeds the limit of " +
+                       std::to_string(serve::kMaxRequestBytes) + " bytes"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("kMaxRequestBytes"), std::string::npos) << error;
+}
+
+TEST(ProtocolTest, RequestLineReaderBoundsEachLine) {
+  const std::string stats = R"({"cmd":"stats"})";
+  std::istringstream in(stats + "\n" +
+                        std::string(serve::kMaxRequestBytes + 10, 'x') +
+                        "\n\n" + stats);
+  serve::Server server;
+  std::string line;
+  ASSERT_TRUE(serve::read_request_line(in, line));
+  EXPECT_EQ(line, stats);
+  // The long line is consumed to its end but kept only to one byte past
+  // the limit, which handle() refuses.
+  ASSERT_TRUE(serve::read_request_line(in, line));
+  EXPECT_EQ(line.size(), serve::kMaxRequestBytes + 1);
+  EXPECT_FALSE(json_parse(server.handle(line)).at("ok").as_bool());
+  ASSERT_TRUE(serve::read_request_line(in, line));
+  EXPECT_TRUE(line.empty());
+  // The last line needs no newline.
+  ASSERT_TRUE(serve::read_request_line(in, line));
+  EXPECT_EQ(line, stats);
+  EXPECT_FALSE(serve::read_request_line(in, line));
 }
 
 // ------------------------------------------------------------ json ----

@@ -269,6 +269,9 @@ TEST(JsonWriterTest, DoublesRoundTripAndNonFiniteIsNull) {
   EXPECT_EQ(back[0].as_double(), 0.1);
   // "-0" is an integral literal: it reads back as the integer 0.
   EXPECT_EQ(back[1].as_int64(), 0);
+  // ... and as a double it keeps its sign, and so does its dump.
+  EXPECT_TRUE(std::signbit(back[1].as_double()));
+  EXPECT_EQ(json_dump(back), w.str());
   EXPECT_EQ(back[2].as_double(), 1e21);
   EXPECT_EQ(back[3].as_double(), 5e-324);
   EXPECT_EQ(back[4].as_double(), DBL_MAX);
