@@ -4,9 +4,9 @@
 /// platform sizings — run side by side in ONE simulation kernel
 /// (study::compose). Trace labels are namespaced per instance
 /// ("cc0/sym_in", "cc1/dsp", ...), so each instance's metrics stay
-/// isolated: the report certifies the composed equivalent model is exact
-/// against the composed baseline, and per-instance latency is read off the
-/// namespaced traces.
+/// isolated: the report certifies the composed equivalent and adaptive
+/// models are exact against the composed baseline, and per-instance
+/// latency is read off the namespaced traces.
 
 #include <cstdio>
 #include <string>
@@ -56,18 +56,20 @@ int main(int argc, char** argv) {
               aggregate.desc().functions().size(),
               aggregate.desc().channels().size());
 
-  // The composed scenario through both backends: the report certifies that
-  // all four receivers' instants stay exact inside the shared kernel, and
-  // measures the aggregate speed-up. keep_traces retains the run's
+  // The composed scenario through three backends: the report certifies
+  // that all four receivers' instants stay exact inside the shared kernel
+  // (the adaptive cell's fast-forward included), and measures the
+  // aggregate speed-up. keep_traces retains the run's
   // observation traces so the per-instance analysis below needs no second
   // simulation.
   study::Study st;
   st.add(aggregate);
   st.add(study::Backend::baseline());
   st.add(study::Backend::equivalent());
+  st.add(study::Backend::adaptive());
   study::StudyOptions opts;
   opts.keep_traces = true;
-  // Both parallelism levers (docs/DESIGN.md §11): measure the two backend
+  // Both parallelism levers (docs/DESIGN.md §11): measure the backend
   // cells concurrently AND drain any equal-structure sub-batches of the
   // composed run on workers. Traces/report are identical at any setting.
   opts.threads = threads;
@@ -75,11 +77,15 @@ int main(int argc, char** argv) {
   const study::Report report = st.run(opts);
   std::printf("%s\n", report.to_string().c_str());
 
-  const study::Cell* eq = report.find("ca4", "equivalent");
-  if (eq == nullptr || !eq->errors.has_value() || !eq->errors->exact()) {
-    std::fprintf(stderr, "composed equivalent model is not exact\n");
-    return 1;
+  for (const char* backend : {"equivalent", "adaptive"}) {
+    const study::Cell* cell = report.find("ca4", backend);
+    if (cell == nullptr || !cell->errors.has_value() ||
+        !cell->errors->exact()) {
+      std::fprintf(stderr, "composed %s model is not exact\n", backend);
+      return 1;
+    }
   }
+  const study::Cell* eq = report.find("ca4", "equivalent");
 
   // Per-instance isolation: each receiver's latency and DSP utilization,
   // extracted from the one composed run via the namespaced traces.

@@ -107,10 +107,11 @@ struct CyclicAttrsFn {
 };
 
 /// A load that is a pure function of the token attributes — k-independent
-/// by construction, carried as a plain function pointer. Classified as an
-/// opaque closure by the opcode layer (it stays a call), but the adaptive
-/// certifier can see through it: with P-periodic attributes the load is
-/// P-periodic too.
+/// by construction, carried as a plain function pointer. The opcode layer
+/// files it as kAttrsPure and calls the pointer directly (no std::function
+/// hop), and the adaptive certifier sees through it: with P-periodic
+/// attributes the load is P-periodic too. The pointer does not serialize,
+/// so the serve wire writes it as an opaque load.
 struct AttrsPureFn {
   std::int64_t (*fn)(const model::TokenAttrs&) = nullptr;
   std::int64_t operator()(const model::TokenAttrs& a, std::uint64_t) const {

@@ -61,7 +61,7 @@ void write_load_spec(JsonWriter& w, const model::LoadFn& f) {
       w.end_array();
       break;
     }
-    default:
+    default:  // hand-written lambdas; AttrsPure (a pointer: no spec)
       w.field("type", "opaque");
       break;
   }

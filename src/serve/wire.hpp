@@ -35,14 +35,16 @@
 ///    their picosecond count, ε as null. Hoisted load functions serialize
 ///    as the same tagged specs the desc document uses — classification is
 ///    shared with the opcode layer (tdg::ops::classify_load), so every
-///    load the engines dispatch through opcode tables also crosses the
-///    wire concretely and the loaded program re-runs it for real
-///    (program_from_json rebuilds the opcode tables). Only hand-written
-///    lambdas fall back to `{"type": "opaque"}` throwing stubs, and guard
-///    functions still serialize as a count (no named guard functors
-///    exist), so those parts of a dumped program document/validate the
-///    compiled shape rather than transplanting behaviour (behaviour
-///    travels via the desc document plus recompilation — see the
+///    load the engines dispatch through opcode tables, bar attrs-pure
+///    ones, also crosses the wire concretely and the loaded program
+///    re-runs it for real (program_from_json rebuilds the opcode tables).
+///    Hand-written lambdas and attrs-pure loads (model::AttrsPureFn: a
+///    function pointer does not serialize) fall back to
+///    `{"type": "opaque"}` throwing stubs, and guard functions still
+///    serialize as a count (no named guard functors exist), so those
+///    parts of a dumped program document/validate the compiled shape
+///    rather than transplanting behaviour (behaviour travels via the
+///    desc document plus recompilation — see the
 ///    cache-keying rules).
 ///
 /// All loaders validate shape and referential integrity (CSR monotonicity,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "maxplus/eigen.hpp"
 #include "model/shaping.hpp"
 #include "tdg/export.hpp"
+#include "tdg/ops.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -176,16 +178,109 @@ struct Refusal {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-core::EquivalentModel::Options eq_options(const Scenario& s,
-                                          const RunConfig& rc) {
-  core::EquivalentModel::Options opts;
-  opts.fold = s.options().fold;
-  opts.pad_nodes = s.composed() ? s.options().pad_nodes * s.instances().size()
-                                : s.options().pad_nodes;
-  opts.observe = rc.observe;
-  opts.expected_iterations = s.options().expected_iterations;
-  opts.compiled = rc.compiled;
-  return opts;
+/// What a behavioural functor's concrete type says about its values: the
+/// one place the adaptive backend inspects `std::function::target<T>()`.
+/// fastforward_refusal() reads it for the refusals no frontier can cure;
+/// fastforward() reads it to certify everything else.
+struct Shape {
+  enum class Kind : std::uint8_t {
+    kConstant,  ///< null (gap, attrs, delay), constant, or pure in the attrs
+    kStep,      ///< earliest(k) = offset + k * step (PeriodicTimeFn)
+    kCyclic,    ///< repeats every `cycle` tokens, + `step` per cycle
+    kTable,     ///< explicit per-token table of `cycle` entries
+    kOpaque,    ///< hand-written closure: never certifiable
+  };
+  Kind kind = Kind::kOpaque;
+  std::int64_t step = 0;
+  std::uint64_t cycle = 0;
+};
+
+Shape shape_of(const std::function<TimePoint(std::uint64_t)>& fn) {
+  if (const auto* p = fn.target<model::PeriodicTimeFn>())
+    return {Shape::Kind::kStep, p->period_ps, 0};
+  if (const auto* c = fn.target<model::CyclicTimeFn>())
+    return {Shape::Kind::kCyclic, c->period_ps, c->offsets_ps->size()};
+  if (const auto* t = fn.target<model::TableTimeFn>())
+    return {Shape::Kind::kTable, 0, t->values_ps->size()};
+  return {};
+}
+
+Shape shape_of(const std::function<Duration(std::uint64_t)>& fn) {
+  if (!fn || fn.target<model::ConstantDurationFn>())
+    return {Shape::Kind::kConstant};
+  if (const auto* c = fn.target<model::CyclicDurationFn>())
+    return {Shape::Kind::kCyclic, 0, c->values_ps->size()};
+  if (const auto* t = fn.target<model::TableDurationFn>())
+    return {Shape::Kind::kTable, 0, t->values_ps->size()};
+  return {};
+}
+
+Shape shape_of(const std::function<model::TokenAttrs(std::uint64_t)>& fn) {
+  if (!fn || fn.target<model::ConstantAttrsFn>())
+    return {Shape::Kind::kConstant};
+  if (const auto* c = fn.target<model::CyclicAttrsFn>())
+    return {Shape::Kind::kCyclic, 0, c->table->size()};
+  if (const auto* t = fn.target<model::TableAttrsFn>())
+    return {Shape::Kind::kTable, 0, t->table->size()};
+  return {};
+}
+
+/// Loads take the opcode layer's classification: every concrete kind but
+/// the cyclic table is a function of the token attributes alone, hence
+/// P-periodic under P-periodic attributes.
+Shape shape_of(const model::LoadFn& fn) {
+  switch (tdg::ops::classify_load(fn)) {
+    case tdg::ops::Kind::kRateConstant:
+    case tdg::ops::Kind::kLinearOps:
+    case tdg::ops::Kind::kParamOps:
+    case tdg::ops::Kind::kAttrsPure:
+      return {Shape::Kind::kConstant};
+    case tdg::ops::Kind::kCyclicOps:
+      return {Shape::Kind::kCyclic, 0,
+              fn.target<model::CyclicOpsFn>()->table.size()};
+    default:
+      return {};
+  }
+}
+
+/// The refusal texts of one functor family.
+struct Family {
+  const char* opaque;  ///< shape kOpaque
+  const char* table;   ///< shape kTable
+  const char* cyclic;  ///< shape kCyclic whose length does not divide P
+};
+constexpr Family kEarliest{"opaque earliest functor", "earliest table",
+                           "cyclic grid length"};
+constexpr Family kDelay{"opaque delay functor", "delay table",
+                        "cyclic delay length"};
+constexpr Family kAttrs{"opaque attrs functor", "attrs table",
+                        "cyclic attrs length"};
+constexpr Family kLoad{"opaque execute load", "", "cyclic ops length"};
+
+/// The refusal a shape earns before anything runs: an opaque closure, or a
+/// table that ends before the last token.
+std::optional<std::string> never_certifiable(const Shape& s,
+                                             std::uint64_t count,
+                                             const std::string& what,
+                                             const Family& fam) {
+  if (s.kind == Shape::Kind::kOpaque) return what + ": " + fam.opaque;
+  if (s.kind == Shape::Kind::kTable && s.cycle < count)
+    return what + ": " + fam.table + " shorter than the token count";
+  return std::nullopt;
+}
+
+/// A cyclic shape continues a period P only when its length divides P.
+void require_cycle_divides(const Shape& s, std::uint32_t period,
+                           std::uint64_t frontier, const std::string& what,
+                           const Family& fam) {
+  if (s.cycle == 0 || period % s.cycle != 0)
+    throw Refusal{what + ": " + fam.cyclic + " does not divide the period",
+                  frontier + period};
+}
+
+/// fastforward_refusal() let no other shape through.
+[[noreturn]] void uncertifiable(const std::string& what) {
+  throw Error(what + ": functor outside the eligibility check's shapes");
 }
 
 /// Certified increment over one period P of an `earliest` functor on
@@ -193,125 +288,160 @@ core::EquivalentModel::Options eq_options(const Scenario& s,
 std::int64_t certify_time_step(
     const std::function<TimePoint(std::uint64_t)>& fn, std::uint32_t period,
     std::uint64_t frontier, std::uint64_t count, const std::string& what) {
-  if (!fn) throw Refusal{what + ": no earliest functor", kNever};
-  if (const auto* p = fn.target<model::PeriodicTimeFn>())
-    return p->period_ps * static_cast<std::int64_t>(period);
-  if (const auto* c = fn.target<model::CyclicTimeFn>()) {
-    const auto n = static_cast<std::uint64_t>(c->offsets_ps->size());
-    if (n == 0 || period % n != 0)
-      throw Refusal{what + ": cyclic grid length does not divide the period",
-                    frontier + period};
-    return c->period_ps * static_cast<std::int64_t>(period / n);
-  }
-  if (const auto* t = fn.target<model::TableTimeFn>()) {
-    const std::vector<std::int64_t>& v = *t->values_ps;
-    if (v.size() < count)
-      throw Refusal{what + ": earliest table shorter than the token count",
-                    kNever};
-    const std::int64_t step =
-        v[frontier] - v[frontier - period];
-    for (std::uint64_t k = frontier; k < count; ++k) {
-      if (v[k] - v[k - period] != step)
-        throw Refusal{what + ": earliest table breaks the period at k=" +
-                          std::to_string(k),
-                      k};
+  const Shape s = shape_of(fn);
+  switch (s.kind) {
+    case Shape::Kind::kStep:
+      return s.step * static_cast<std::int64_t>(period);
+    case Shape::Kind::kCyclic:
+      require_cycle_divides(s, period, frontier, what, kEarliest);
+      return s.step * static_cast<std::int64_t>(period / s.cycle);
+    case Shape::Kind::kTable: {
+      const auto at = [&fn](std::uint64_t k) { return fn(k).count(); };
+      const std::int64_t step = at(frontier) - at(frontier - period);
+      for (std::uint64_t k = frontier; k < count; ++k) {
+        if (at(k) - at(k - period) != step)
+          throw Refusal{what + ": " + kEarliest.table +
+                            " breaks the period at k=" + std::to_string(k),
+                        k};
+      }
+      return step;
     }
-    return step;
+    default:
+      uncertifiable(what);
   }
-  throw Refusal{what + ": opaque earliest functor", kNever};
 }
 
-/// Certify that a gap / consume-delay functor is P-periodic on
-/// [frontier, count) (null = constant zero).
-void certify_duration_periodic(
-    const std::function<Duration(std::uint64_t)>& fn, std::uint32_t period,
-    std::uint64_t frontier, std::uint64_t count, const std::string& what) {
-  if (!fn) return;
-  if (fn.target<model::ConstantDurationFn>()) return;
-  if (const auto* c = fn.target<model::CyclicDurationFn>()) {
-    const auto n = static_cast<std::uint64_t>(c->values_ps->size());
-    if (n == 0 || period % n != 0)
-      throw Refusal{what + ": cyclic delay length does not divide the period",
-                    frontier + period};
-    return;
+/// Certify that a gap, consume-delay or attrs functor repeats with period P
+/// on [frontier, count).
+template <class Fn>
+void certify_periodic(const Fn& fn, std::uint32_t period,
+                      std::uint64_t frontier, std::uint64_t count,
+                      const std::string& what, const Family& fam) {
+  const Shape s = shape_of(fn);
+  switch (s.kind) {
+    case Shape::Kind::kConstant:
+      return;
+    case Shape::Kind::kCyclic:
+      require_cycle_divides(s, period, frontier, what, fam);
+      return;
+    case Shape::Kind::kTable:
+      for (std::uint64_t k = frontier; k < count; ++k) {
+        if (!(fn(k) == fn(k - period)))
+          throw Refusal{what + ": " + fam.table + " breaks the period at k=" +
+                            std::to_string(k),
+                        k};
+      }
+      return;
+    default:
+      uncertifiable(what);
   }
-  if (const auto* t = fn.target<model::TableDurationFn>()) {
-    const std::vector<std::int64_t>& v = *t->values_ps;
-    if (v.size() < count)
-      throw Refusal{what + ": delay table shorter than the token count",
-                    kNever};
-    for (std::uint64_t k = frontier; k < count; ++k) {
-      if (v[k] != v[k - period])
-        throw Refusal{
-            what + ": delay table breaks the period at k=" + std::to_string(k),
-            k};
-    }
-    return;
-  }
-  throw Refusal{what + ": opaque delay functor", kNever};
-}
-
-/// Certify that a source attrs functor is P-periodic on [frontier, count).
-void certify_attrs_periodic(
-    const std::function<model::TokenAttrs(std::uint64_t)>& fn,
-    std::uint32_t period, std::uint64_t frontier, std::uint64_t count,
-    const std::string& what) {
-  if (!fn) return;  // attribute-less source: constant by definition
-  if (fn.target<model::ConstantAttrsFn>()) return;
-  if (const auto* c = fn.target<model::CyclicAttrsFn>()) {
-    const auto n = static_cast<std::uint64_t>(c->table->size());
-    if (n == 0 || period % n != 0)
-      throw Refusal{what + ": cyclic attrs length does not divide the period",
-                    frontier + period};
-    return;
-  }
-  if (const auto* t = fn.target<model::TableAttrsFn>()) {
-    const std::vector<model::TokenAttrs>& v = *t->table;
-    if (v.size() < count)
-      throw Refusal{what + ": attrs table shorter than the token count",
-                    kNever};
-    for (std::uint64_t k = frontier; k < count; ++k) {
-      if (!(v[k] == v[k - period]))
-        throw Refusal{
-            what + ": attrs table breaks the period at k=" + std::to_string(k),
-            k};
-    }
-    return;
-  }
-  throw Refusal{what + ": opaque attrs functor", kNever};
 }
 
 /// Certify that every hoisted execute load is P-periodic given P-periodic
-/// attributes: pure functions of the attrs qualify, cyclic tables must
-/// divide the period, everything opaque refuses.
+/// attributes. A load is named by its execute statement's label.
 void certify_loads(const tdg::Program& prog, std::uint32_t period,
                    std::uint64_t frontier) {
-  for (std::size_t i = 0; i < prog.loads.size(); ++i) {
-    const model::LoadFn& load = prog.loads[i];
-    if (load.target<model::ConstantOpsFn>() ||
-        load.target<model::LinearOpsFn>() ||
-        load.target<model::ParamOpsFn>() ||
-        load.target<model::AttrsPureFn>()) {
-      continue;
-    }
-    if (const auto* c = load.target<model::CyclicOpsFn>()) {
-      if (c->table.empty() || period % c->table.size() != 0)
-        throw Refusal{"load " + std::to_string(i) +
-                          ": cyclic ops length does not divide the period",
-                      frontier + period};
-      continue;
-    }
-    throw Refusal{"load " + std::to_string(i) + ": opaque execute load",
-                  kNever};
+  for (std::size_t j = 0; j < prog.op_exec.size(); ++j) {
+    if (!prog.op_exec[j]) continue;
+    const Shape s =
+        shape_of(prog.loads[static_cast<std::size_t>(prog.op_load[j])]);
+    if (s.kind == Shape::Kind::kConstant) continue;
+    const std::string what = "load " + prog.op_label[j];
+    if (s.kind != Shape::Kind::kCyclic) uncertifiable(what);
+    require_cycle_divides(s, period, frontier, what, kLoad);
   }
+}
+
+/// The merged-graph model the adaptive backend runs: the equivalent
+/// backend's options without sub-batches.
+core::EquivalentModel::Options merged_options(const Scenario& s,
+                                              RunConfig rc) {
+  rc.batch_composed = false;
+  return equivalent_options(s, rc);
 }
 
 }  // namespace
 
+std::optional<std::string> fastforward_refusal(const Scenario& scenario) {
+  const model::ArchitectureDesc& desc = scenario.desc();
+  const std::vector<bool>& group = scenario.options().group;
+  if (!std::all_of(group.begin(), group.end(), [](bool g) { return g; }))
+    return "partial abstraction group: simulated functions cannot be "
+           "extrapolated";
+  if (desc.sources().empty()) return "no sources";
+  const std::uint64_t count = desc.sources().front().count;
+  for (const model::SourceDesc& s : desc.sources())
+    if (s.count != count) return "sources disagree on token count";
+  if (count == 0) return "zero tokens";
+
+  // Every function is abstracted from here on, so a channel is a boundary
+  // exactly when one end is no function (derive_tdg lists boundaries in
+  // channel order; so does every loop below).
+  const auto channels = static_cast<model::ChannelId>(desc.channels().size());
+  const auto is_input = [&desc](model::ChannelId c) {
+    const model::ChannelEndpoints& ep = desc.endpoints(c);
+    return ep.reader_fn != model::kInvalidId &&
+           ep.writer_fn == model::kInvalidId;
+  };
+  const auto is_output = [&desc](model::ChannelId c) {
+    const model::ChannelEndpoints& ep = desc.endpoints(c);
+    return ep.writer_fn != model::kInvalidId &&
+           ep.reader_fn == model::kInvalidId;
+  };
+  for (model::ChannelId c = 0; c < channels; ++c) {
+    // A FIFO fed by a source keeps its credit gate inside the simulated
+    // source process (the source blocks on reads the graph never sees), so
+    // no window check over graph nodes can certify it. Output FIFOs are
+    // different: both their write and read instants are external nodes and
+    // their recurrences are certified in fastforward().
+    if (is_input(c) &&
+        desc.channels()[static_cast<std::size_t>(c)].kind ==
+            model::ChannelKind::kFifo)
+      return "FIFO input boundary (back-pressure recurrence)";
+  }
+
+  for (const model::FunctionDesc& f : desc.functions()) {
+    for (const model::StatementDesc& st : f.body) {
+      if (st.kind != model::StatementKind::kExecute) continue;
+      if (auto why = never_certifiable(shape_of(st.load), count,
+                                       "load " + st.label, kLoad))
+        return why;
+    }
+  }
+
+  for (model::ChannelId c = 0; c < channels; ++c) {
+    if (!is_input(c)) continue;
+    const model::ChannelEndpoints& ep = desc.endpoints(c);
+    if (!ep.written_by_source()) return "input boundary not fed by a source";
+    const model::SourceDesc& src =
+        desc.sources()[static_cast<std::size_t>(ep.writer_source)];
+    const std::string what = "source " + src.name;
+    if (!src.earliest) return what + ": no earliest functor";
+    if (auto why = never_certifiable(shape_of(src.earliest), count, what,
+                                     kEarliest))
+      return why;
+    if (auto why = never_certifiable(shape_of(src.gap), count, what, kDelay))
+      return why;
+    if (auto why = never_certifiable(shape_of(src.attrs), count, what, kAttrs))
+      return why;
+  }
+  for (model::ChannelId c = 0; c < channels; ++c) {
+    if (!is_output(c)) continue;
+    const model::ChannelEndpoints& ep = desc.endpoints(c);
+    if (!ep.read_by_sink()) return "output boundary not drained by a sink";
+    const model::SinkDesc& sink =
+        desc.sinks()[static_cast<std::size_t>(ep.reader_sink)];
+    if (auto why = never_certifiable(shape_of(sink.consume_delay), count,
+                                     "sink " + sink.name, kDelay))
+      return why;
+  }
+  return std::nullopt;
+}
+
 AdaptiveModel::AdaptiveModel(const Scenario& scenario, const RunConfig& config,
                              AdaptiveOptions opts)
     : eq_(scenario.desc_ptr(), scenario.options().group,
-          eq_options(scenario, config)),
+          merged_options(scenario, config)),
       opts_(opts),
       user_cancel_(config.cancel),
       detector_(eq_.graph().node_count(),
@@ -333,37 +463,20 @@ AdaptiveModel::AdaptiveModel(const Scenario& scenario, const RunConfig& config,
   guards.cancel = &self_cancel_;
   eq_.runtime().kernel().set_run_guards(guards);
 
-  // Structural eligibility. Everything here is decidable at construction;
-  // a failed check leaves a plain (correct, never fast-forwarding)
-  // equivalent model.
+  // Structural eligibility (Backend::instantiate builds this model only
+  // for an eligible scenario; a direct construction still refuses here).
+  // Guards cannot be written in a description: derive_tdg emits none, so
+  // only the compiled program can carry them.
+  if (std::optional<std::string> why = fastforward_refusal(scenario)) {
+    disable(std::move(*why));
+    return;
+  }
+  if (!eq_.compiled().program.guards.empty()) {
+    disable("guarded arcs: future guard decisions are opaque");
+    return;
+  }
   const model::ArchitectureDesc& desc = eq_.runtime().desc();
-  const std::vector<bool>& group = eq_.group();
-  bool full = true;
-  for (const bool g : group) full = full && g;
-  if (!group.empty() && !full) {
-    disable("partial abstraction group: simulated functions cannot be "
-            "extrapolated");
-  } else if (desc.sources().empty()) {
-    disable("no sources");
-  } else {
-    tokens_ = desc.sources().front().count;
-    for (const model::SourceDesc& s : desc.sources()) {
-      if (s.count != tokens_) {
-        disable("sources disagree on token count");
-        break;
-      }
-    }
-    if (enabled_ && tokens_ == 0) disable("zero tokens");
-  }
-  for (const tdg::BoundaryInput& bi : eq_.compiled().inputs) {
-    if (!enabled_) break;
-    // A FIFO fed by a source keeps its credit gate inside the simulated
-    // source process (the source blocks on reads the graph never sees), so
-    // no window check over graph nodes can certify it. Output FIFOs are
-    // different: both their write and read instants are external nodes and
-    // their recurrences are certified in fastforward().
-    if (bi.fifo) disable("FIFO input boundary (back-pressure recurrence)");
-  }
+  tokens_ = desc.sources().front().count;
   std::uint64_t fifo_lookback = 0;
   for (const tdg::BoundaryOutput& bo : eq_.compiled().outputs) {
     if (!bo.fifo) continue;
@@ -372,28 +485,26 @@ AdaptiveModel::AdaptiveModel(const Scenario& scenario, const RunConfig& config,
                            .capacity);
   }
 
-  if (enabled_) {
-    // The certifier and the verification snapshot read back one period plus
-    // the graph's history depth behind the frontier; keep those frames from
-    // being pruned under the emission processes' retain floor. Boundary-FIFO
-    // credit checks additionally look back `capacity` frames.
-    eq_.engine_mut().set_retain_margin(
-        static_cast<std::uint64_t>(opts_.max_period) + eq_.graph().max_lag() +
-        fifo_lookback + 4);
-    // Duty cycling: a probe window must let the slowest candidate climb
-    // from a reseed to the certification gate (max_period warm-up plus
-    // max(K, max_lag, max_period) consecutive hits, see maybe_fastforward).
-    duty_on_len_ =
-        static_cast<std::uint64_t>(opts_.max_period) +
-        std::max<std::uint64_t>({opts_.stable_periods, eq_.graph().max_lag(),
-                                 opts_.max_period}) +
-        4;
-    duty_on_until_ = duty_on_len_;
-    eq_.runtime().set_regime_listener([this] {
-      detector_.reset();
-      ++stats_.regime_resets;
-    });
-  }
+  // The certifier and the verification snapshot read back one period plus
+  // the graph's history depth behind the frontier; keep those frames from
+  // being pruned under the emission processes' retain floor. Boundary-FIFO
+  // credit checks additionally look back `capacity` frames.
+  eq_.engine_mut().set_retain_margin(
+      static_cast<std::uint64_t>(opts_.max_period) + eq_.graph().max_lag() +
+      fifo_lookback + 4);
+  // Duty cycling: a probe window must let the slowest candidate climb
+  // from a reseed to the certification gate (max_period warm-up plus
+  // max(K, max_lag, max_period) consecutive hits, see maybe_fastforward).
+  duty_on_len_ =
+      static_cast<std::uint64_t>(opts_.max_period) +
+      std::max<std::uint64_t>({opts_.stable_periods, eq_.graph().max_lag(),
+                               opts_.max_period}) +
+      4;
+  duty_on_until_ = duty_on_len_;
+  eq_.runtime().set_regime_listener([this] {
+    detector_.reset();
+    ++stats_.regime_resets;
+  });
 }
 
 void AdaptiveModel::disable(std::string reason) {
@@ -583,8 +694,7 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
   };
 
   // ---- 1. Program-level certification -----------------------------------
-  if (!prog.guards.empty())
-    throw Refusal{"guarded arcs: future guard decisions are opaque", kNever};
+  // Guards and opaque loads were refused at construction.
   certify_loads(prog, period, f);
 
   // ---- 2. Environment certification -------------------------------------
@@ -598,8 +708,6 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
   // dominated at every phase of the last observed period.
   for (const tdg::BoundaryInput& bi : eq_.compiled().inputs) {
     const model::ChannelEndpoints& ep = desc.endpoints(bi.channel);
-    if (!ep.written_by_source())
-      throw Refusal{"input boundary not fed by a source", kNever};
     const model::SourceDesc& src =
         desc.sources()[static_cast<std::size_t>(ep.writer_source)];
     const tdg::NodeId u = g.find(bi.u_node);
@@ -607,10 +715,11 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
     if (u == tdg::kNoNode || x == tdg::kNoNode)
       throw Refusal{"boundary node not found: " + bi.u_node, kNever};
 
+    const std::string what = "source " + src.name;
     const std::int64_t step_a =
-        certify_time_step(src.earliest, period, f, count, "source " + src.name);
-    certify_duration_periodic(src.gap, period, f, count, "source " + src.name);
-    certify_attrs_periodic(src.attrs, period, f, count, "source " + src.name);
+        certify_time_step(src.earliest, period, f, count, what);
+    certify_periodic(src.gap, period, f, count, what, kDelay);
+    certify_periodic(src.attrs, period, f, count, what, kAttrs);
 
     const std::int64_t lam_u = lambda[static_cast<std::size_t>(u)];
     const std::int64_t lam_x = lambda[static_cast<std::size_t>(x)];
@@ -649,8 +758,6 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
 
   for (const tdg::BoundaryOutput& bo : eq_.compiled().outputs) {
     const model::ChannelEndpoints& ep = desc.endpoints(bo.channel);
-    if (!ep.read_by_sink())
-      throw Refusal{"output boundary not drained by a sink", kNever};
     if (bo.actual_node.empty()) continue;  // always-ready sink: no feedback
     const model::SinkDesc& sink =
         desc.sinks()[static_cast<std::size_t>(ep.reader_sink)];
@@ -659,8 +766,8 @@ void AdaptiveModel::fastforward(const PeriodDetector::Detection& det) {
     if (y == tdg::kNoNode || a_node == tdg::kNoNode)
       throw Refusal{"boundary node not found: " + bo.offer_node, kNever};
 
-    certify_duration_periodic(sink.consume_delay, period, f, count,
-                              "sink " + sink.name);
+    certify_periodic(sink.consume_delay, period, f, count, "sink " + sink.name,
+                     kDelay);
     const std::int64_t lam_y = lambda[static_cast<std::size_t>(y)];
     const std::int64_t lam_a = lambda[static_cast<std::size_t>(a_node)];
 

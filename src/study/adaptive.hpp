@@ -19,7 +19,10 @@
 /// P-rule x(k) = x(k-P) + Λ) and the kernel is stopped. Certification
 /// refusals are cheap and non-destructive: the run simply keeps
 /// simulating, and a later, cleaner frontier may fast-forward instead
-/// (re-entry after a regime change works the same way).
+/// (re-entry after a regime change works the same way). What can be
+/// decided without running is decided before any model is built
+/// (fastforward_refusal): a scenario that can never fast-forward runs as
+/// the equivalent backend's model instead.
 
 namespace maxev::study {
 
@@ -104,10 +107,29 @@ class PeriodDetector {
   std::uint64_t valid_from_ = 0;  ///< frames before this are forgotten
 };
 
+/// Why \p scenario can never fast-forward, decided from its description
+/// alone (docs/DESIGN.md §15, "Eligibility is decided at construction"):
+/// a partial abstraction group, no sources, token counts that disagree or
+/// are zero, a FIFO input boundary, an opaque execute load, an opaque or
+/// missing source `earliest`, an opaque source `gap`/`attrs` or sink
+/// `consume_delay`, a table shorter than the token count, a boundary not
+/// fed by a source or not drained by a sink. nullopt when the scenario is
+/// eligible. The text is the refusal the certifier reports.
+[[nodiscard]] std::optional<std::string> fastforward_refusal(
+    const Scenario& scenario);
+
+/// The core::EquivalentModel options of \p scenario under \p config: the
+/// one builder behind the equivalent backend and the adaptive model (which
+/// passes batch_composed = false). Defined in backend.cpp.
+[[nodiscard]] core::EquivalentModel::Options equivalent_options(
+    const Scenario& scenario, const RunConfig& config);
+
 /// The adaptive executable model: a merged-graph core::EquivalentModel plus
 /// the detector/certifier/fast-forward machinery, behind the study::Model
-/// interface. Composed scenarios run on the merged graph (the batched
-/// engine's timestep hook slot is taken; the merged path is bit-identical).
+/// interface. Backend::adaptive() builds it only for a scenario that
+/// fastforward_refusal() admits; a composed one runs on the merged graph,
+/// because the detector needs the timestep-hook slot the sub-batch drain
+/// would take (the merged path is bit-identical).
 ///
 /// Public (rather than hidden in backend.cpp) so the property tests can
 /// poke the detector and stats directly.
@@ -130,14 +152,14 @@ class AdaptiveModel final : public Model {
   TimePoint end_time() const override;
   sim::Kernel& kernel() override { return eq_.runtime().kernel(); }
   std::uint64_t instances_computed() const override {
-    return eq_.engine().instances_computed();
+    return eq_.instances_computed();
   }
   std::uint64_t arc_terms_evaluated() const override {
-    return eq_.engine().arc_terms_evaluated();
+    return eq_.arc_terms_evaluated();
   }
   GraphShape graph_shape() const override {
-    return {eq_.graph().node_count(), eq_.graph().paper_node_count(),
-            eq_.graph().arc_count()};
+    const core::EquivalentModel::CompiledShape shape = eq_.compiled_shape();
+    return {shape.nodes, shape.paper_nodes, shape.arcs};
   }
   std::optional<AdaptiveStats> adaptive_stats() const override {
     return stats_;

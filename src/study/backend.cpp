@@ -57,15 +57,40 @@ class BaselineModel final : public Model {
   model::ModelRuntime rt_;
 };
 
+bool batched(const Scenario& s, const RunConfig& rc) {
+  return rc.batch_composed && s.partially_batchable();
+}
+
+/// The inline engine's share: the scenario's group, restricted to the
+/// instances in no sub-batch when batched (an empty group already means
+/// "everything outside the sub-batches").
+std::vector<bool> inline_group_of(const Scenario& s, const RunConfig& rc) {
+  std::vector<bool> group = s.options().group;
+  if (group.empty() || !batched(s, rc)) return group;
+  for (const BatchGroup& bg : s.batch_groups())
+    for (const std::size_t m : bg.members) {
+      const Instance& inst = s.instances()[m];
+      std::fill(group.begin() + static_cast<std::ptrdiff_t>(inst.fn_begin),
+                group.begin() + static_cast<std::ptrdiff_t>(inst.fn_end),
+                false);
+    }
+  return group;
+}
+
 /// The equivalent model. A composed scenario with equal-structure
 /// sub-batches (RunConfig::batch_composed) evaluates each on one compiled
 /// program + shared frame arena, and the instances in no sub-batch on the
 /// inline engine over the merged description, all in one kernel
 /// (docs/DESIGN.md §9–§10).
+///
+/// The adaptive backend builds this same model for a scenario that can
+/// never fast-forward, with the reason as its one refusal in \p adaptive.
 class EquivalentBackendModel final : public Model {
  public:
-  EquivalentBackendModel(const Scenario& s, const RunConfig& rc)
-      : eq_(s.desc_ptr(), inline_group_of(s, rc), options_of(s, rc)) {
+  EquivalentBackendModel(const Scenario& s, const RunConfig& rc,
+                         std::optional<AdaptiveStats> adaptive = std::nullopt)
+      : eq_(s.desc_ptr(), inline_group_of(s, rc), equivalent_options(s, rc)),
+        adaptive_(std::move(adaptive)) {
     apply_overhead(eq_.runtime().kernel(), rc.event_overhead_ns);
     apply_guards(eq_.runtime().kernel(), rc);
   }
@@ -95,64 +120,13 @@ class EquivalentBackendModel final : public Model {
     const core::EquivalentModel::CompiledShape shape = eq_.compiled_shape();
     return {shape.nodes, shape.paper_nodes, shape.arcs};
   }
+  std::optional<AdaptiveStats> adaptive_stats() const override {
+    return adaptive_;
+  }
 
  private:
-  static bool batched(const Scenario& s, const RunConfig& rc) {
-    return rc.batch_composed && s.partially_batchable();
-  }
-
-  /// The inline engine's share: the scenario's group, restricted to the
-  /// instances in no sub-batch when batched (an empty group already means
-  /// "everything outside the sub-batches").
-  static std::vector<bool> inline_group_of(const Scenario& s,
-                                           const RunConfig& rc) {
-    std::vector<bool> group = s.options().group;
-    if (group.empty() || !batched(s, rc)) return group;
-    for (const BatchGroup& bg : s.batch_groups())
-      for (const std::size_t m : bg.members) {
-        const Instance& inst = s.instances()[m];
-        std::fill(group.begin() + static_cast<std::ptrdiff_t>(inst.fn_begin),
-                  group.begin() + static_cast<std::ptrdiff_t>(inst.fn_end),
-                  false);
-      }
-    return group;
-  }
-
-  static core::EquivalentModel::Options options_of(const Scenario& s,
-                                                   const RunConfig& rc) {
-    core::EquivalentModel::Options opts;
-    opts.fold = s.options().fold;
-    // pad_nodes is per instance (ScenarioOptions): each sub-batch pads its
-    // base graph once (evaluated per member) and the inline graph carries
-    // one padding block per instance it spans, so a composition runs the
-    // same padded work batched or not.
-    opts.pad_nodes = s.options().pad_nodes;
-    opts.inline_instances = s.composed() ? s.instances().size() : 1;
-    opts.observe = rc.observe;
-    opts.expected_iterations = s.options().expected_iterations;
-    opts.compiled = rc.compiled;
-    opts.threads = rc.threads;
-    if (!batched(s, rc)) return opts;
-
-    // Equal-structure sub-batches, translated from the scenario's grouping
-    // (Scenario::batch_groups()) into merged-table spans.
-    for (const BatchGroup& bg : s.batch_groups()) {
-      core::EquivalentModel::GroupSpec spec;
-      spec.base = bg.base;
-      spec.group = bg.group;
-      for (const std::size_t m : bg.members) {
-        const Instance& inst = s.instances()[m];
-        spec.names.push_back(inst.name);
-        spec.spans.push_back({inst.fn_begin, inst.ch_begin, inst.res_begin,
-                              inst.src_begin, inst.sink_begin});
-      }
-      opts.inline_instances -= bg.members.size();
-      opts.groups.push_back(std::move(spec));
-    }
-    return opts;
-  }
-
   core::EquivalentModel eq_;
+  std::optional<AdaptiveStats> adaptive_;
 };
 
 class LooselyTimedBackendModel final : public Model {
@@ -183,6 +157,40 @@ class LooselyTimedBackendModel final : public Model {
 };
 
 }  // namespace
+
+core::EquivalentModel::Options equivalent_options(const Scenario& s,
+                                                  const RunConfig& rc) {
+  core::EquivalentModel::Options opts;
+  opts.fold = s.options().fold;
+  // pad_nodes is per instance (ScenarioOptions): each sub-batch pads its
+  // base graph once (evaluated per member) and the inline graph carries
+  // one padding block per instance it spans, so a composition runs the
+  // same padded work batched or not.
+  opts.pad_nodes = s.options().pad_nodes;
+  opts.inline_instances = s.composed() ? s.instances().size() : 1;
+  opts.observe = rc.observe;
+  opts.expected_iterations = s.options().expected_iterations;
+  opts.compiled = rc.compiled;
+  opts.threads = rc.threads;
+  if (!batched(s, rc)) return opts;
+
+  // Equal-structure sub-batches, translated from the scenario's grouping
+  // (Scenario::batch_groups()) into merged-table spans.
+  for (const BatchGroup& bg : s.batch_groups()) {
+    core::EquivalentModel::GroupSpec spec;
+    spec.base = bg.base;
+    spec.group = bg.group;
+    for (const std::size_t m : bg.members) {
+      const Instance& inst = s.instances()[m];
+      spec.names.push_back(inst.name);
+      spec.spans.push_back({inst.fn_begin, inst.ch_begin, inst.res_begin,
+                            inst.src_begin, inst.sink_begin});
+    }
+    opts.inline_instances -= bg.members.size();
+    opts.groups.push_back(std::move(spec));
+  }
+  return opts;
+}
 
 Backend Backend::baseline() {
   return Backend(Kind::kBaseline, "baseline", Duration::ps(0));
@@ -216,9 +224,18 @@ std::unique_ptr<Model> Backend::instantiate(const Scenario& scenario,
       return std::make_unique<LooselyTimedBackendModel>(scenario, config,
                                                         quantum_);
     case Kind::kAdaptive:
-      // Composed scenarios run on the merged graph: the sub-batch drain
-      // owns the timestep-hook slot the detector needs, and the merged path
-      // is pinned bit-identical to it.
+      // Eligibility is decided here, once (docs/DESIGN.md §15): a scenario
+      // that can never fast-forward runs as the equivalent backend's model
+      // (sub-batches, drain threads, no detector or hook) and reports the
+      // reason as its one refusal. An eligible one gets the detector and
+      // certifier on the merged graph.
+      if (std::optional<std::string> why = fastforward_refusal(scenario)) {
+        AdaptiveStats stats;
+        stats.refusals = 1;
+        stats.last_refusal = std::move(*why);
+        return std::make_unique<EquivalentBackendModel>(scenario, config,
+                                                        std::move(stats));
+      }
       return std::make_unique<AdaptiveModel>(scenario, config, adaptive_);
   }
   throw Error("Backend::instantiate: unreachable");

@@ -148,7 +148,7 @@ struct RunConfig {
   /// inline engine, all in one kernel — instead of the N-times-larger
   /// merged graph. On by default; per-instance traces are bit-identical
   /// either way (docs/DESIGN.md §9–§10). Only the equivalent backend
-  /// consults this.
+  /// consults this, and the adaptive backend on a scenario it runs as one.
   bool batch_composed = true;
   /// Worker threads draining a batched composition's per-group engines
   /// between timestep barriers (core::EquivalentModel::Options::threads;
@@ -199,7 +199,8 @@ class Backend {
   /// instants converge to a certified vector period, the remaining
   /// iterations are filled in analytically and the kernel stops
   /// (docs/DESIGN.md §15). Falls back to full simulation whenever
-  /// certification refuses.
+  /// certification refuses; a scenario that can never fast-forward
+  /// (study::fastforward_refusal) runs as the equivalent backend's model.
   [[nodiscard]] static Backend adaptive(AdaptiveOptions opts = {});
 
   [[nodiscard]] Kind kind() const { return kind_; }

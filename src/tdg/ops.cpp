@@ -10,6 +10,7 @@ const char* kind_name(Kind k) {
     case Kind::kLinearOps: return "LinearOps";
     case Kind::kParamOps: return "ParamOps";
     case Kind::kCyclicOps: return "CyclicOps";
+    case Kind::kAttrsPure: return "AttrsPure";
     case Kind::kTableTime: return "TableTime";
     case Kind::kPeriodicTime: return "PeriodicTime";
   }
@@ -21,6 +22,7 @@ Kind classify_load(const model::LoadFn& f) {
   if (f.target<model::LinearOpsFn>() != nullptr) return Kind::kLinearOps;
   if (f.target<model::ParamOpsFn>() != nullptr) return Kind::kParamOps;
   if (f.target<model::CyclicOpsFn>() != nullptr) return Kind::kCyclicOps;
+  if (f.target<model::AttrsPureFn>() != nullptr) return Kind::kAttrsPure;
   return Kind::kOpaqueClosure;
 }
 
@@ -33,6 +35,7 @@ LoadTable compile_loads(const std::vector<model::LoadFn>& loads) {
   t.scale.assign(n, 0.0);
   t.index.assign(n, 0);
   t.len.assign(n, 0);
+  t.fn.assign(n, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
     const Kind k = classify_load(loads[i]);
     t.kind[i] = static_cast<std::uint8_t>(k);
@@ -60,6 +63,9 @@ LoadTable compile_loads(const std::vector<model::LoadFn>& loads) {
         t.cyc.insert(t.cyc.end(), fn->table.begin(), fn->table.end());
         break;
       }
+      case Kind::kAttrsPure:
+        t.fn[i] = loads[i].target<model::AttrsPureFn>()->fn;
+        break;
       default:
         ++t.opaque;
         break;

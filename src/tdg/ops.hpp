@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "model/load.hpp"
+#include "model/shaping.hpp"
 #include "model/token.hpp"
 
 /// \file ops.hpp
@@ -13,8 +14,9 @@
 /// time/duration specs tomorrow — compiled into enum-dispatched table
 /// entries, so the common cases never touch a std::function on the hot
 /// path. The vocabulary is deliberately the same one serve/wire
-/// round-trips: classification happens once (`classify_load`), and both
-/// the engines' dispatch and the wire serializer consume the result.
+/// round-trips: classification happens once (`classify_load`), and the
+/// engines' dispatch, the wire serializer and the adaptive backend's
+/// certifier (study/adaptive.cpp) all consume the result.
 ///
 /// Contract: `eval_load` duplicates the functor arithmetic of
 /// model/load.cpp *exactly* — same clamps, same llround, same wraparound
@@ -37,6 +39,7 @@ enum class Kind : std::uint8_t {
   kLinearOps,          ///< LinearOpsFn: base + per_unit * attrs.size
   kParamOps,           ///< ParamOpsFn: base + llround(scale * params[i])
   kCyclicOps,          ///< CyclicOpsFn: table[k % size]
+  kAttrsPure,          ///< AttrsPureFn: its function pointer, called directly
   kTableTime,          ///< serve::TableTimeFn (wire time spec)
   kPeriodicTime,       ///< serve::PeriodicTimeFn (wire time spec)
 };
@@ -60,6 +63,7 @@ struct LoadTable {
   std::vector<std::int32_t> index;  ///< param: params index; cyclic: cyc offset
   std::vector<std::int32_t> len;    ///< cyclic: table length
   std::vector<std::int64_t> cyc;    ///< flattened cyclic tables
+  std::vector<decltype(model::AttrsPureFn::fn)> fn;  ///< attrs-pure: pointer
   std::size_t opaque = 0;           ///< count of kOpaqueClosure rows
 
   [[nodiscard]] std::size_t size() const { return kind.size(); }
@@ -93,6 +97,8 @@ struct LoadTable {
     case Kind::kCyclicOps:
       return t.cyc[static_cast<std::size_t>(t.index[i]) +
                    k % static_cast<std::uint64_t>(t.len[i])];
+    case Kind::kAttrsPure:
+      return t.fn[i](attrs);
     default:
       return closures[i](attrs, k);
   }

@@ -3,12 +3,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "gen/random_arch.hpp"
+#include "lte/params.hpp"
 #include "lte/receiver.hpp"
 #include "model/desc.hpp"
 #include "model/load.hpp"
@@ -416,6 +418,247 @@ TEST(AdaptiveModelTest, RegimeNotificationResetsTheDetector) {
   EXPECT_EQ(m.stats().regime_resets, 1u);
   m.equivalent().runtime().notify_regime_change();
   EXPECT_EQ(m.stats().regime_resets, 2u);
+}
+
+TEST(AdaptiveModelTest, WorkCountersMatchTheEquivalentBackend) {
+  // Eligible but held below its warm-up floor, the adaptive model does
+  // exactly the equivalent model's work, and its Report work columns say
+  // so: the counters are EquivalentModel's aggregates for both backends.
+  const Scenario s("chain", model::share(periodic_chain(60)));
+  AdaptiveOptions opts;
+  opts.min_iterations = 60;
+  const auto ref = run_backend(Backend::equivalent(), s);
+  const auto ad = run_backend(Backend::adaptive(opts), s);
+  ASSERT_FALSE(ad->adaptive_stats()->extrapolated);
+  EXPECT_EQ(ad->adaptive_stats()->refusals, 0u);
+  EXPECT_EQ(ad->instances_computed(), ref->instances_computed());
+  EXPECT_EQ(ad->arc_terms_evaluated(), ref->arc_terms_evaluated());
+  EXPECT_EQ(ad->graph_shape().nodes, ref->graph_shape().nodes);
+  EXPECT_EQ(ad->graph_shape().paper_nodes, ref->graph_shape().paper_nodes);
+  EXPECT_EQ(ad->graph_shape().arcs, ref->graph_shape().arcs);
+}
+
+// ----------------------------------------------- construction eligibility
+
+/// The periodic chain with every behavioural member replaceable, plus the
+/// structural variations the eligibility rules name.
+struct ChainSpec {
+  std::uint64_t tokens = 40;
+  model::LoadFn load = model::constant_ops(1000);
+  std::function<TimePoint(std::uint64_t)> earliest =
+      model::PeriodicTimeFn{0, 1'000'000};
+  std::function<Duration(std::uint64_t)> gap;
+  std::function<model::TokenAttrs(std::uint64_t)> attrs =
+      model::ConstantAttrsFn{};
+  std::function<Duration(std::uint64_t)> consume_delay;
+  bool fifo_input = false;
+  bool second_stage = false;        ///< src -> f -> g -> sink
+  std::uint64_t second_source = 0;  ///< tokens of a parallel chain (0: none)
+};
+
+model::ArchitectureDesc chain_of(const ChainSpec& c) {
+  model::ArchitectureDesc d;
+  const auto r =
+      d.add_resource("cpu", model::ResourcePolicy::kConcurrent, 1e9);
+  const auto in = c.fifo_input ? d.add_fifo("in", 2) : d.add_rendezvous("in");
+  const auto out = d.add_rendezvous("out");
+  const auto f = d.add_function("f", r);
+  d.fn_read(f, in);
+  d.fn_execute(f, c.load);
+  if (c.second_stage) {
+    const auto mid = d.add_rendezvous("mid");
+    d.fn_write(f, mid);
+    const auto g = d.add_function("g", r);
+    d.fn_read(g, mid);
+    d.fn_execute(g, model::constant_ops(500));
+    d.fn_write(g, out);
+  } else {
+    d.fn_write(f, out);
+  }
+  d.add_source("src", in, c.tokens, c.earliest, c.attrs, c.gap);
+  d.add_sink("sink", out, c.consume_delay);
+  if (c.second_source > 0) {
+    const auto in2 = d.add_rendezvous("in2");
+    const auto out2 = d.add_rendezvous("out2");
+    const auto f2 = d.add_function("f2", r);
+    d.fn_read(f2, in2);
+    d.fn_execute(f2, model::constant_ops(1000));
+    d.fn_write(f2, out2);
+    d.add_source("src2", in2, c.second_source,
+                 model::PeriodicTimeFn{0, 1'000'000}, model::ConstantAttrsFn{});
+    d.add_sink("sink2", out2);
+  }
+  d.validate();
+  return d;
+}
+
+std::shared_ptr<const std::vector<std::int64_t>> ps_table(std::size_t n,
+                                                          std::int64_t step) {
+  auto v = std::make_shared<std::vector<std::int64_t>>();
+  for (std::size_t k = 0; k < n; ++k)
+    v->push_back(step * static_cast<std::int64_t>(k));
+  return v;
+}
+
+// Each rule a description can break, one row each: the scenario runs as
+// the equivalent backend's model and reports exactly one refusal, worded
+// as the fast-forward certifier words it. (A zero token count and a
+// missing earliest are refused by add_source itself; every channel of a
+// validated description has both ends, so a boundary always meets a
+// source or a sink once every function is abstracted.)
+TEST(AdaptiveEligibilityTest, EachConstructionReasonIsOneRefusal) {
+  struct Row {
+    const char* name;
+    ChainSpec spec;
+    std::vector<bool> group;
+    std::string reason;
+    bool runs = true;  ///< false: a short table ends the run early
+  };
+  const auto with = [](auto edit) {
+    ChainSpec c;
+    edit(c);
+    return c;
+  };
+  const std::uint64_t n = ChainSpec{}.tokens;
+  const auto opaque_time = [](std::uint64_t k) {
+    return TimePoint::at_ps(static_cast<std::int64_t>(k) * 1'000'000);
+  };
+  const auto opaque_delay = [](std::uint64_t) { return Duration::ps(300); };
+  const std::vector<Row> rows = {
+      {"partial group", with([](ChainSpec& c) { c.second_stage = true; }),
+       {true, false},
+       "partial abstraction group: simulated functions cannot be "
+       "extrapolated"},
+      {"token counts", with([](ChainSpec& c) { c.second_source = 20; }),
+       {},
+       "sources disagree on token count"},
+      {"fifo input", with([](ChainSpec& c) { c.fifo_input = true; }),
+       {},
+       "FIFO input boundary (back-pressure recurrence)"},
+      {"opaque load", with([](ChainSpec& c) {
+         c.load = [](const model::TokenAttrs&, std::uint64_t) {
+           return std::int64_t{1000};
+         };
+       }),
+       {},
+       "load f.e0: opaque execute load"},
+      {"opaque earliest",
+       with([&](ChainSpec& c) { c.earliest = opaque_time; }),
+       {},
+       "source src: opaque earliest functor"},
+      {"short earliest table", with([&](ChainSpec& c) {
+         c.earliest = model::TableTimeFn{ps_table(n - 1, 1'000'000)};
+       }),
+       {},
+       "source src: earliest table shorter than the token count", false},
+      {"opaque gap", with([&](ChainSpec& c) { c.gap = opaque_delay; }),
+       {},
+       "source src: opaque delay functor"},
+      {"short gap table", with([&](ChainSpec& c) {
+         c.gap = model::TableDurationFn{ps_table(n - 1, 0)};
+       }),
+       {},
+       "source src: delay table shorter than the token count", false},
+      {"opaque attrs", with([](ChainSpec& c) {
+         c.attrs = [](std::uint64_t) { return model::TokenAttrs{}; };
+       }),
+       {},
+       "source src: opaque attrs functor"},
+      {"short attrs table", with([&](ChainSpec& c) {
+         c.attrs = model::TableAttrsFn{
+             std::make_shared<std::vector<model::TokenAttrs>>(n - 1)};
+       }),
+       {},
+       "source src: attrs table shorter than the token count", false},
+      {"opaque consume delay",
+       with([&](ChainSpec& c) { c.consume_delay = opaque_delay; }),
+       {},
+       "sink sink: opaque delay functor"},
+      {"short consume-delay table", with([&](ChainSpec& c) {
+         c.consume_delay = model::TableDurationFn{ps_table(n - 1, 0)};
+       }),
+       {},
+       "sink sink: delay table shorter than the token count", false},
+  };
+
+  // The unmodified chain is eligible, so each row isolates its one rule.
+  EXPECT_EQ(study::fastforward_refusal(Scenario("chain", chain_of({}))),
+            std::nullopt);
+  for (const Row& row : rows) {
+    Scenario s(row.name, chain_of(row.spec));
+    if (!row.group.empty()) s.with_group(row.group);
+    EXPECT_EQ(study::fastforward_refusal(s), row.reason) << row.name;
+
+    auto ad = Backend::adaptive().instantiate(s);
+    auto eq = Backend::equivalent().instantiate(s);
+    ASSERT_TRUE(ad->adaptive_stats().has_value()) << row.name;
+    EXPECT_EQ(ad->adaptive_stats()->refusals, 1u) << row.name;
+    EXPECT_EQ(ad->adaptive_stats()->last_refusal, row.reason) << row.name;
+    EXPECT_EQ(ad->graph_shape().nodes, eq->graph_shape().nodes) << row.name;
+    EXPECT_EQ(ad->graph_shape().arcs, eq->graph_shape().arcs) << row.name;
+
+    // A directly constructed AdaptiveModel applies the same rule.
+    AdaptiveModel direct(s, RunConfig{}, AdaptiveOptions{});
+    EXPECT_EQ(direct.stats().refusals, 1u) << row.name;
+    EXPECT_EQ(direct.stats().last_refusal, row.reason) << row.name;
+
+    if (!row.runs) continue;
+    ASSERT_TRUE(ad->run().completed) << row.name;
+    ASSERT_TRUE(eq->run().completed) << row.name;
+    expect_same_traces(*eq, *ad, row.name);
+    EXPECT_EQ(ad->kernel_stats().events_scheduled,
+              eq->kernel_stats().events_scheduled)
+        << row.name;
+    EXPECT_EQ(ad->adaptive_stats()->refusals, 1u) << row.name;
+    EXPECT_FALSE(ad->adaptive_stats()->extrapolated) << row.name;
+  }
+}
+
+TEST(AdaptiveEligibilityTest, OpaqueSourceRunsAsTheBatchedEquivalentModel) {
+  // Three clones of a receiver whose frame schedule is a lambda: the
+  // source functors are opaque, so fast-forward is impossible from the
+  // start and the adaptive backend runs the batched equivalent model.
+  lte::ReceiverConfig cfg;
+  cfg.symbols = 4 * lte::kSymbolsPerSubframe;
+  cfg.schedule = [](std::uint64_t subframe) {
+    lte::FrameParams p;
+    p.n_prb = subframe % 2 == 0 ? 50 : 25;
+    return p;
+  };
+  const Scenario composed =
+      clones(model::share(lte::make_receiver(cfg)), 3);
+  ASSERT_TRUE(composed.batchable());
+  RunConfig merged_rc;
+  merged_rc.batch_composed = false;
+  const study::Model::GraphShape merged =
+      Backend::equivalent().instantiate(composed, merged_rc)->graph_shape();
+
+  const auto base = run_backend(Backend::baseline(), composed);
+  for (const int threads : {1, 2, 8}) {
+    const std::string ctx = "t" + std::to_string(threads);
+    const auto eq = run_backend(Backend::equivalent(), composed, threads);
+    const auto ad = run_backend(Backend::adaptive(), composed, threads);
+    expect_same_traces(*base, *ad, ctx);
+
+    const auto st = ad->adaptive_stats();
+    ASSERT_TRUE(st.has_value()) << ctx;
+    EXPECT_EQ(st->refusals, 1u) << ctx;
+    EXPECT_EQ(st->last_refusal, "source inst0/antenna: opaque earliest functor")
+        << ctx;
+    EXPECT_FALSE(st->extrapolated) << ctx;
+
+    // The compiled (batched) shape, not the three-fold merged graph.
+    const study::Model::GraphShape shape = ad->graph_shape();
+    EXPECT_EQ(shape.nodes, eq->graph_shape().nodes) << ctx;
+    EXPECT_EQ(shape.paper_nodes, eq->graph_shape().paper_nodes) << ctx;
+    EXPECT_EQ(shape.arcs, eq->graph_shape().arcs) << ctx;
+    EXPECT_LT(shape.nodes, merged.nodes) << ctx;
+    EXPECT_EQ(ad->instances_computed(), eq->instances_computed()) << ctx;
+    EXPECT_EQ(ad->arc_terms_evaluated(), eq->arc_terms_evaluated()) << ctx;
+    EXPECT_EQ(ad->kernel_stats().events_scheduled,
+              eq->kernel_stats().events_scheduled)
+        << ctx;
+  }
 }
 
 // ------------------------------------------------------------ study plumbing

@@ -10,8 +10,11 @@
 #include "core/compiled.hpp"
 #include "gen/didactic.hpp"
 #include "gen/random_arch.hpp"
+#include "lte/receiver.hpp"
+#include "lte/workload.hpp"
 #include "model/desc.hpp"
 #include "model/load.hpp"
+#include "model/shaping.hpp"
 #include "serve/wire.hpp"
 #include "study/study.hpp"
 #include "tdg/ops.hpp"
@@ -40,6 +43,8 @@ TEST(OpsClassifyTest, FactoryLoadsClassifyConcretely) {
             Kind::kParamOps);
   EXPECT_EQ(tdg::ops::classify_load(model::cyclic_ops({4, 5, 6})),
             Kind::kCyclicOps);
+  EXPECT_EQ(tdg::ops::classify_load(model::AttrsPureFn{lte::ops_fft}),
+            Kind::kAttrsPure);
 }
 
 TEST(OpsClassifyTest, HandWrittenLambdaIsOpaque) {
@@ -74,9 +79,10 @@ TEST(OpsCompileTest, UnpacksFactoryParametersIntoColumns) {
   loads.push_back([](const model::TokenAttrs&, std::uint64_t) {
     return std::int64_t{11};
   });
+  loads.push_back(model::AttrsPureFn{lte::ops_fft});
 
   const tdg::ops::LoadTable t = tdg::ops::compile_loads(loads);
-  ASSERT_EQ(t.size(), 6u);
+  ASSERT_EQ(t.size(), 7u);
   EXPECT_EQ(static_cast<Kind>(t.kind[0]), Kind::kRateConstant);
   EXPECT_EQ(t.a[0], 7);
   EXPECT_EQ(static_cast<Kind>(t.kind[1]), Kind::kLinearOps);
@@ -95,6 +101,9 @@ TEST(OpsCompileTest, UnpacksFactoryParametersIntoColumns) {
   EXPECT_EQ(t.len[4], 1);
   EXPECT_EQ(t.cyc, (std::vector<std::int64_t>{4, 5, 6, 9}));
   EXPECT_EQ(static_cast<Kind>(t.kind[5]), Kind::kOpaqueClosure);
+  // An attrs-pure load keeps its function pointer, not a std::function.
+  EXPECT_EQ(static_cast<Kind>(t.kind[6]), Kind::kAttrsPure);
+  EXPECT_EQ(t.fn[6], &lte::ops_fft);
   EXPECT_EQ(t.opaque, 1u);
   EXPECT_FALSE(t.all_concrete());
 }
@@ -126,7 +135,15 @@ TEST(OpsEvalTest, EveryKindMatchesItsClosureOnAGrid) {
   loads.push_back([](const model::TokenAttrs& a, std::uint64_t k) {
     return a.size + static_cast<std::int64_t>(k % 13);
   });
+  loads.push_back(model::AttrsPureFn{lte::ops_fft});
+  loads.push_back(model::AttrsPureFn{lte::ops_demapping});
+  loads.push_back(model::AttrsPureFn{lte::ops_channel_decoding});
+  loads.push_back(model::AttrsPureFn{
+      [](const model::TokenAttrs& a) -> std::int64_t {
+        return a.size * 3 - std::llround(a.params[1]);  // may go negative
+      }});
   const tdg::ops::LoadTable t = tdg::ops::compile_loads(loads);
+  ASSERT_EQ(static_cast<Kind>(t.kind[11]), Kind::kAttrsPure);
 
   const std::int64_t sizes[] = {-50, 0, 1, 7, 1000000};
   const double params[] = {-3.7, 0.0, 0.5, 123.0, 123.5, 124.5};
@@ -325,6 +342,30 @@ TEST(DifferentialSweepTest, BatchedClonesMatchBaseline) {
     const Scenario composed = clones(desc, 4);
     ASSERT_TRUE(composed.batchable());
     expect_batched_matches_baseline(composed, "seed " + std::to_string(seed));
+  }
+}
+
+// Attrs-pure loads (kAttrsPure): LTE receivers, whose eight stage loads are
+// model::AttrsPureFn, with a varying frame schedule. Two clones share a
+// sub-batch (BatchEngine lanes); a third receiver with another schedule
+// runs on the inline engine.
+TEST(DifferentialSweepTest, AttrsPureLoadsMatchBaseline) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    lte::ReceiverConfig cfg;
+    cfg.symbols = 3 * 14;
+    cfg.seed = seed;
+    const auto a = model::share(lte::make_receiver(cfg));
+    cfg.seed = seed + 100;
+    const auto b = model::share(lte::make_receiver(cfg));
+    const core::CompiledPtr c = compile_desc(lte::make_receiver(cfg));
+    ASSERT_TRUE(c->program.load_ops.all_concrete());
+    std::vector<Scenario> parts;
+    parts.emplace_back("a0", a);
+    parts.emplace_back("b0", b);
+    parts.emplace_back("a1", a);
+    const Scenario mixed = study::compose("rx", parts);
+    ASSERT_EQ(mixed.batch_groups().size(), 1u);
+    expect_batched_matches_baseline(mixed, "rx seed " + std::to_string(seed));
   }
 }
 
